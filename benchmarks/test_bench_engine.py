@@ -17,7 +17,7 @@ from repro.dtmc import (
 from repro.engine import Engine
 from repro.pctl import ModelChecker, check
 from repro.symbolic import SymbolicEngine
-from repro.viterbi import ViterbiModelConfig, build_reduced_model
+from repro.viterbi import ViterbiModelConfig, build_full_model, build_reduced_model
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,29 @@ def test_bench_bounded_property(benchmark, viterbi_chain):
 def test_bench_steady_state(benchmark, viterbi_chain):
     pi = benchmark(lambda: stationary_distribution(viterbi_chain))
     assert pi.sum() == pytest.approx(1.0)
+
+
+#: The memory-2 full model of tests/test_viterbi_memory2.py (38k states,
+#: a 21k-state BSCC) and its BER by the direct factorisation.
+MEM2 = ViterbiModelConfig(
+    snr_db=6.0, traceback_length=4, num_levels=5, pm_max=4, taps=(1.0, 0.5, 0.5)
+)
+MEM2_DIRECT_BER = 0.029320245400258342
+
+
+def test_bench_memory2_steady_state_ber(benchmark):
+    """The paper's BER query, ``S=? [ flag ]``, on the memory-2 full
+    model under the default engine: the certified iterate answers where
+    a factorisation of the BSCC takes about a minute."""
+    chain = build_full_model(MEM2).chain
+
+    def ber():
+        engine = Engine()
+        return check(chain, "S=? [ flag ]", engine=engine).value, engine
+
+    value, engine = benchmark.pedantic(ber, rounds=1, iterations=1)
+    assert value == pytest.approx(MEM2_DIRECT_BER, abs=1e-12)
+    assert engine.stats.stationary_iterated == 1
 
 
 def test_bench_lumping(benchmark, viterbi_chain):

@@ -54,6 +54,11 @@ class Guarantee:
     reused instead of recomputing, and — for statistical runs — how
     many sampled paths ``samples`` the verdict consumed.
 
+    ``stationary`` says how the check's steady-state solves ran, from
+    the engine-stats delta: e.g. ``"1 iterated (88 its)"`` when a
+    certified iterate answered, ``"1 factorised (32 its)"`` when the
+    chain was factorised, and ``""`` when the check made none.
+
     ``warnings`` holds the :class:`~repro.resilience.ValidationWarning`
     records of the guarantee-validation gate (NaN/Inf, probability
     range): an empty tuple means the value passed every applicable
@@ -72,6 +77,7 @@ class Guarantee:
     cache_hits: int = 0
     samples: int = 0
     warnings: Tuple[ValidationWarning, ...] = ()
+    stationary: str = ""
 
     @property
     def is_exact(self) -> bool:
@@ -85,6 +91,8 @@ class Guarantee:
 
     def __str__(self) -> str:
         sampled = "" if self.is_exact else f", {self.samples} samples"
+        if self.stationary:
+            sampled += f"; stationary {self.stationary}"
         flagged = (
             "" if not self.warnings
             else "  !! " + "; ".join(str(w) for w in self.warnings)
@@ -95,6 +103,16 @@ class Guarantee:
             f" {self.check_seconds:.2f}s; {self.backend}"
             f" engine, {self.cache_hits} cache hits{sampled}]{flagged}"
         )
+
+
+def _stationary_path(before: Dict[str, float], after: Dict[str, float]) -> str:
+    """How the stationary solves between two engine-stats snapshots ran."""
+
+    def delta(name: str) -> float:
+        return after[f"stationary_{name}"] - before[f"stationary_{name}"]
+
+    kinds = [f"{delta(kind)} {kind}" for kind in ("iterated", "factorised") if delta(kind)]
+    return f"{' + '.join(kinds)} ({delta('iterations')} its)" if kinds else ""
 
 
 class PerformanceAnalyzer:
@@ -191,6 +209,7 @@ class PerformanceAnalyzer:
         else:
             name, prop = "pCTL", str(metric)
         hits_before = self.engine.stats.cache_hits
+        before = self.engine.stats.snapshot()
         start = time.perf_counter()
         result = self.checker.check(prop)
         elapsed = time.perf_counter() - start
@@ -205,6 +224,7 @@ class PerformanceAnalyzer:
             backend=self.engine.config.method,
             cache_hits=self.engine.stats.cache_hits - hits_before,
             warnings=validate_guarantee(value, formula=prop),
+            stationary=_stationary_path(before, self.engine.stats.snapshot()),
         )
         self.history.append(guarantee)
         return guarantee

@@ -226,37 +226,28 @@ class DTMC:
         exactly (the sink only absorbs probability that has left the
         retained region).
         """
-        keep = list(keep)
-        index_of = {old: new for new, old in enumerate(keep)}
-        n_new = len(keep) + 1
-        sink = n_new - 1
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for new_i, old_i in enumerate(keep):
-            row = self.transition_matrix.getrow(old_i)
-            sink_mass = 0.0
-            for old_j, p in zip(row.indices.tolist(), row.data.tolist()):
-                if old_j in index_of:
-                    rows.append(new_i)
-                    cols.append(index_of[old_j])
-                    vals.append(p)
-                else:
-                    sink_mass += p
-            if sink_mass > 0.0:
-                rows.append(new_i)
-                cols.append(sink)
-                vals.append(sink_mass)
-        rows.append(sink)
-        cols.append(sink)
-        vals.append(1.0)
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n_new, n_new))
-        init = np.zeros(n_new)
-        kept_mass = 0.0
-        for new_i, old_i in enumerate(keep):
-            init[new_i] = self.initial_distribution[old_i]
-            kept_mass += init[new_i]
-        init[sink] = 1.0 - kept_mass
+        keep = np.asarray(keep, dtype=np.int64).ravel()
+        sink = keep.size
+        block = self.transition_matrix[keep]
+        new_index = np.full(self.num_states, sink, dtype=np.int64)
+        new_index[keep] = np.arange(sink)
+        cols = new_index[block.indices]
+        rows = np.repeat(np.arange(sink), np.diff(block.indptr))
+        inside = cols != sink
+        sink_mass = np.bincount(
+            rows[~inside], weights=block.data[~inside], minlength=sink
+        )
+        leaks = np.flatnonzero(sink_mass > 0.0)
+        matrix = sparse.csr_matrix(
+            (
+                np.concatenate([block.data[inside], sink_mass[leaks], [1.0]]),
+                (np.concatenate([rows[inside], leaks, [sink]]),
+                 np.concatenate([cols[inside], np.full(leaks.size, sink), [sink]])),
+            ),
+            shape=(sink + 1, sink + 1),
+        )
+        init = np.append(self.initial_distribution[keep], 0.0)
+        init[sink] = 1.0 - init.sum()
         labels = {
             name: np.append(vec[keep], False) for name, vec in self.labels.items()
         }
@@ -265,7 +256,7 @@ class DTMC:
         }
         states = None
         if self.states is not None:
-            states = [self.states[i] for i in keep] + ["<sink>"]
+            states = [self.states[i] for i in keep.tolist()] + ["<sink>"]
         return DTMC(matrix, init, labels=labels, rewards=rewards, states=states)
 
     def with_absorbing(self, absorbing: Iterable[int]) -> "DTMC":

@@ -11,17 +11,21 @@ Provides the structural facts the paper's methodology relies on:
   guaranteed to reach a steady state") is implemented as an explicit
   check here.
 
-The SCC computation is an iterative Tarjan so it does not hit Python's
-recursion limit on million-state chains.
+Every kernel runs on :mod:`scipy.sparse.csgraph` over the transition
+matrix's sparsity pattern (stored entries are edges): SCCs come from
+its strong ``connected_components`` (Pearce's algorithm, whose labels
+are already in reverse topological order), and multi-source searches
+are one breadth-first search from a virtual source wired to every
+start state.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import List, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .chain import DTMC
 
@@ -38,33 +42,58 @@ __all__ = [
 ]
 
 
-def _indptr_indices(matrix: sparse.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
-    return matrix.indptr, matrix.indices
+def _indices(states: Iterable[int]) -> np.ndarray:
+    if isinstance(states, np.ndarray):
+        return states.astype(np.int64, copy=False).ravel()
+    return np.fromiter(states, dtype=np.int64)
 
 
-def reachable_states(chain: DTMC, sources: Sequence[int] | None = None) -> Set[int]:
+def _edges(chain: DTMC) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sources, targets)`` of every stored transition."""
+    matrix = chain.transition_matrix
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return rows, matrix.indices
+
+
+def _reach_mask(
+    n: int, src: np.ndarray, dst: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """States reachable from ``starts`` over the edges ``src -> dst``:
+    one BFS from a virtual source ``n`` with an edge to every start."""
+    graph = sparse.csr_matrix(
+        (
+            np.ones(src.size + starts.size),
+            (np.concatenate([src, np.full(starts.size, n)]),
+             np.concatenate([dst, starts])),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    order = csgraph.breadth_first_order(
+        graph, n, directed=True, return_predecessors=False
+    )
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[order] = True
+    return mask[:n]
+
+
+def _as_set(mask: np.ndarray) -> Set[int]:
+    return set(np.flatnonzero(mask).tolist())
+
+
+def reachable_states(chain: DTMC, sources: Optional[Iterable[int]] = None) -> Set[int]:
     """States reachable (in any number of steps) from ``sources``.
 
     ``sources`` defaults to the chain's initial states.
     """
-    indptr, indices = _indptr_indices(chain.transition_matrix)
     if sources is None:
         sources = chain.initial_states()
-    seen: Set[int] = set(int(s) for s in sources)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    rows, cols = _edges(chain)
+    return _as_set(_reach_mask(chain.num_states, rows, cols, _indices(sources)))
 
 
-def reachability_iterations(chain: DTMC, sources: Sequence[int] | None = None) -> int:
+def reachability_iterations(
+    chain: DTMC, sources: Optional[Iterable[int]] = None
+) -> int:
     """Number of BFS levels until the reachable set stops growing.
 
     This is the *RI* fixpoint the paper reports: after ``RI``
@@ -72,47 +101,38 @@ def reachability_iterations(chain: DTMC, sources: Sequence[int] | None = None) -
     transient quantities computed at horizons well beyond RI are near
     their steady-state values.
     """
-    indptr, indices = _indptr_indices(chain.transition_matrix)
     if sources is None:
         sources = chain.initial_states()
-    seen: Set[int] = set(int(s) for s in sources)
-    frontier = list(seen)
-    iterations = 0
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        if not next_frontier:
-            break
-        iterations += 1
-        frontier = next_frontier
-    return iterations
+    starts = _indices(sources)
+    if starts.size == 0:
+        return 0
+    levels = csgraph.dijkstra(
+        chain.transition_matrix, unweighted=True, indices=starts, min_only=True
+    )
+    return int(levels[np.isfinite(levels)].max())
 
 
-def backward_reachable(chain: DTMC, targets: Sequence[int]) -> Set[int]:
+def backward_reachable(chain: DTMC, targets: Iterable[int]) -> Set[int]:
     """States from which some state in ``targets`` is reachable."""
-    transpose = chain.transition_matrix.tocsc()
-    indptr, indices = transpose.indptr, transpose.indices
-    seen: Set[int] = set(int(t) for t in targets)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    rows, cols = _edges(chain)
+    return _as_set(_reach_mask(chain.num_states, cols, rows, _indices(targets)))
+
+
+def backward_reachable_mask(
+    chain: DTMC, targets: Iterable[int], through: np.ndarray
+) -> np.ndarray:
+    """Boolean form of :func:`constrained_backward_reachable`, for
+    callers that index with the result."""
+    rows, cols = _edges(chain)
+    enters = np.asarray(through, dtype=bool)[rows]
+    # Reversed edges v -> u, kept only where they enter a `through` state u.
+    return _reach_mask(
+        chain.num_states, cols[enters], rows[enters], _indices(targets)
+    )
 
 
 def constrained_backward_reachable(
-    chain: DTMC, targets: Sequence[int], through: np.ndarray
+    chain: DTMC, targets: Iterable[int], through: np.ndarray
 ) -> Set[int]:
     """States that can reach ``targets`` moving only through ``through``
     states (the targets themselves need not satisfy ``through``).
@@ -120,108 +140,53 @@ def constrained_backward_reachable(
     This is the graph kernel of the Prob0/Prob1 precomputations of
     pCTL model checking (Baier & Katoen, Algorithm 46).
     """
-    transpose = chain.transition_matrix.tocsc()
-    indptr, indices = transpose.indptr, transpose.indices
-    seen: Set[int] = set(int(t) for t in targets)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen and through[v]:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    return _as_set(backward_reachable_mask(chain, targets, through))
+
+
+def _scc_labels(chain: DTMC) -> Tuple[int, np.ndarray]:
+    """``(count, label per state)``; labels are in reverse topological
+    order: every edge between components goes to a smaller label."""
+    if chain.num_states == 0:
+        return 0, np.zeros(0, dtype=np.int64)
+    return csgraph.connected_components(
+        chain.transition_matrix, directed=True, connection="strong"
+    )
+
+
+def _groups(labels: np.ndarray, wanted: np.ndarray) -> List[List[int]]:
+    """Sorted members of each label with ``wanted[label]``, by ascending
+    label."""
+    members = np.flatnonzero(wanted[labels])
+    members = members[np.argsort(labels[members], kind="stable")]
+    sizes = np.bincount(labels[members], minlength=wanted.size)[wanted]
+    starts = np.cumsum(sizes) - sizes
+    return [members[s : s + k].tolist() for s, k in zip(starts.tolist(), sizes.tolist())]
 
 
 def strongly_connected_components(chain: DTMC) -> List[List[int]]:
-    """Tarjan's algorithm (iterative) over the transition graph.
+    """SCCs of the transition graph, each as a sorted list of states.
 
-    Returns components in reverse topological order (Tarjan's natural
-    output order): every edge between distinct components points from a
-    later component in the list to an earlier one.
+    Returns components in reverse topological order: every edge between
+    distinct components points from a later component in the list to
+    an earlier one.
     """
-    n = chain.num_states
-    indptr, indices = _indptr_indices(chain.transition_matrix)
-
-    index_counter = 0
-    stack: List[int] = []
-    on_stack = np.zeros(n, dtype=bool)
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    components: List[List[int]] = []
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # Each work item is (node, next-edge-offset).
-        work: List[List[int]] = [[root, indptr[root]]]
-        while work:
-            node, edge_ptr = work[-1]
-            if index[node] == -1:
-                index[node] = index_counter
-                lowlink[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while edge_ptr < indptr[node + 1]:
-                succ = int(indices[edge_ptr])
-                edge_ptr += 1
-                if index[succ] == -1:
-                    work[-1][1] = edge_ptr
-                    work.append([succ, indptr[succ]])
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component: List[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+    count, labels = _scc_labels(chain)
+    return _groups(labels, np.ones(count, dtype=bool))
 
 
 def bottom_sccs(chain: DTMC) -> List[List[int]]:
     """SCCs with no outgoing edges (the chain's recurrent classes)."""
-    components = strongly_connected_components(chain)
-    component_of = np.empty(chain.num_states, dtype=np.int64)
-    for comp_id, members in enumerate(components):
-        for state in members:
-            component_of[state] = comp_id
-    indptr, indices = _indptr_indices(chain.transition_matrix)
-    bottoms: List[List[int]] = []
-    for comp_id, members in enumerate(components):
-        is_bottom = True
-        for u in members:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if component_of[int(v)] != comp_id:
-                    is_bottom = False
-                    break
-            if not is_bottom:
-                break
-        if is_bottom:
-            bottoms.append(sorted(members))
-    return bottoms
+    count, labels = _scc_labels(chain)
+    rows, cols = _edges(chain)
+    leaving = labels[rows] != labels[cols]
+    bottom = np.ones(count, dtype=bool)
+    bottom[labels[rows[leaving]]] = False
+    return _groups(labels, bottom)
 
 
 def is_irreducible(chain: DTMC) -> bool:
     """True iff the whole state space is one strongly connected class."""
-    components = strongly_connected_components(chain)
-    return len(components) == 1
+    return _scc_labels(chain)[0] == 1
 
 
 def period(chain: DTMC, state: int = 0) -> int:
@@ -231,31 +196,14 @@ def period(chain: DTMC, state: int = 0) -> int:
     ``state``, the gcd of ``level(u) + 1 - level(v)`` over all edges
     ``u -> v`` inside the class equals the period.
     """
-    components = strongly_connected_components(chain)
-    home = None
-    for members in components:
-        if state in members:
-            home = set(members)
-            break
-    assert home is not None
-    indptr, indices = _indptr_indices(chain.transition_matrix)
-    level = {state: 0}
-    frontier = [state]
-    g = 0
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in home:
-                    continue
-                if v in level:
-                    g = gcd(g, level[u] + 1 - level[v])
-                else:
-                    level[v] = level[u] + 1
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return abs(g) if g else 0
+    _, labels = _scc_labels(chain)
+    home = np.flatnonzero(labels == labels[state])
+    inside = chain.transition_matrix[home][:, home].tocoo()
+    levels = csgraph.dijkstra(
+        inside, unweighted=True, indices=int(np.searchsorted(home, state))
+    ).astype(np.int64)
+    g = np.gcd.reduce(np.abs(levels[inside.row] + 1 - levels[inside.col]))
+    return int(g)
 
 
 def is_aperiodic(chain: DTMC) -> bool:

@@ -5,30 +5,51 @@ The paper interprets BER as the steady-state expectation of the
 probability of a bit error occurring at any time step").  This module
 computes:
 
-* the stationary distribution of an irreducible chain (direct sparse
-  linear solve, with a power-iteration fallback);
+* the stationary distribution of an irreducible chain;
 * the general long-run distribution of an arbitrary finite chain via
   BSCC decomposition + absorption probabilities;
 * long-run average rewards (used to cross-check ``R=?[I=T]`` at large
   ``T``).
 
+Stationary solves follow the engine's :class:`~repro.engine.SolverConfig`:
+
+``lu`` (the default)
+    A *certified iterate, else a factorisation*.  The damped iteration
+    ``pi <- pi (I + P) / 2`` runs from the uniform start; after a short
+    probe its contraction rate is estimated from successive L1 steps,
+    and it continues only while the projected iteration count fits a
+    fixed budget.  The iterate is returned only when the residual
+    ``||pi P - pi||_1`` and the error estimate from the observed rate
+    are both within ``tolerance``, and only on a chain verified
+    irreducible; otherwise the chain is factorised.
+``direct``
+    Always the factorisation: one sparse solve with one state's mass
+    pinned (``x (I - Q) = P[pin, others]``, ``Q`` being ``P`` without
+    the pinned row and column), then normalisation.  The pinned state
+    is the heaviest one of a short damped probe, so no ratio of
+    masses can overflow.  The independent reference for tests.
+``power``, ``jacobi``, ``gauss-seidel``
+    The damped iteration alone, with the same certificate as its stop
+    rule and ``max_iterations`` as its only limit; it never factorises.
+
 Every entry point accepts an optional :class:`repro.engine.Engine`;
-with one, results are memoized per chain, the inner linear solves run
-on the engine's configured backend, and factorizations are shared with
-any other property checked through the same engine.
+with one, results are memoized per chain, the stationary and absorption
+solves follow the engine's configuration and are counted in its stats.
+Without one, a fresh default engine does the work.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .chain import DTMC
-from .graph import bottom_sccs, is_aperiodic, is_irreducible
-from .linear import ITERATIVE_METHODS as _ITERATIVE_METHODS
+from .graph import is_aperiodic, is_irreducible
 from .linear import SolverError
 
 __all__ = [
@@ -41,9 +62,34 @@ __all__ = [
     "assert_ergodic",
 ]
 
+#: Damped iterations before the certified solve may give up.
+PROBE_ITERATIONS = 32
+#: Most damped iterations the certified solve may project to need.
+ITERATION_BUDGET = 1000
+#: Successive L1 steps whose largest ratio is the observed rate.
+RATE_WINDOW = 8
+
+_NO_UNIQUE = (
+    "it has no unique stationary distribution. Use long_run_distribution()"
+    " for the initial-state-dependent long-run behaviour."
+)
+
+
 class ReducibleChainError(ValueError):
     """A unique stationary distribution was requested of a chain that is
     not irreducible."""
+
+
+class StationarySolve(NamedTuple):
+    """One stationary solve and how it was obtained."""
+
+    pi: np.ndarray
+    #: Damped iterations run, including a probe that gave up.
+    iterations: int
+    #: True when the answer came from the sparse factorisation.
+    factorised: bool
+    #: Certified L1 error bound of an accepted iterate.
+    error: Optional[float] = None
 
 
 def power_iteration(
@@ -74,81 +120,146 @@ def power_iteration(
 
 
 def _stationary_fallback(chain: DTMC, cause: Optional[BaseException]) -> np.ndarray:
-    """Power-iteration rescue for a failed direct solve.
+    """Power-iteration rescue for a failed factorisation.
 
     Only legitimate on an *irreducible* chain: on a reducible one the
-    direct system is genuinely singular, power iteration from the
-    initial distribution converges (if at all) to something that
-    depends on the start state, and silently returning it would be a
-    wrong answer dressed up as a stationary distribution.
+    system is genuinely singular, power iteration from the initial
+    distribution converges (if at all) to something that depends on
+    the start state, and silently returning it would be a wrong answer
+    dressed up as a stationary distribution.
     """
     if not is_irreducible(chain):
         raise ReducibleChainError(
-            "direct stationary solve failed because the chain is not"
-            " irreducible: it has no unique stationary distribution."
-            " Use long_run_distribution() for the initial-state-dependent"
-            " long-run behaviour."
+            "stationary factorisation failed because the chain is not"
+            f" irreducible: {_NO_UNIQUE}"
         ) from cause
     return power_iteration(chain)
+
+
+def _damped_steps(chain: DTMC) -> Iterator[Tuple[np.ndarray, float]]:
+    """``(iterate, L1 step)`` of ``pi <- pi (I + P) / 2`` from uniform.
+
+    The damped (lazy) chain has the same stationary distribution but is
+    aperiodic for every chain, so the iteration converges even on
+    periodic irreducible chains, and the uniform start keeps the limit
+    independent of the chain's initial distribution.
+    """
+    transposed = chain.transition_matrix.T.tocsr()
+    pi = np.full(chain.num_states, 1.0 / chain.num_states)
+    while True:
+        nxt = 0.5 * (pi + transposed @ pi)
+        yield nxt, float(np.abs(nxt - pi).sum())
+        pi = nxt
+
+
+def _certified_iterate(
+    steps: Iterator[Tuple[np.ndarray, float]],
+    tolerance: float,
+    budget: int,
+    *,
+    project: bool,
+) -> Tuple[np.ndarray, int, Optional[float]]:
+    """``(last iterate, iterations, certified error)``; the error is
+    ``None`` when the iteration gave up: at ``budget`` iterations or,
+    with ``project``, once the observed rate (after the probe) projects
+    the certificate beyond ``budget``.
+
+    A damped step never increases the residual, so the iterate's
+    residual is at most twice its step; the error estimate sums the
+    remaining steps as a geometric series at the observed rate.
+    """
+    recent: List[float] = []
+    for k, (pi, step) in enumerate(steps, 1):
+        if step == 0.0:
+            return pi, k, 0.0
+        recent = (recent + [step])[-(RATE_WINDOW + 1):]
+        rate = (
+            max(b / a for a, b in zip(recent, recent[1:]))
+            if len(recent) > RATE_WINDOW else math.inf
+        )
+        error = max(2.0 * step, step * rate / (1.0 - rate)) if rate < 1.0 else math.inf
+        if error <= tolerance:
+            return pi, k, error
+        if k >= budget or (
+            project and k >= PROBE_ITERATIONS and (
+                rate >= 1.0
+                or k + math.log(tolerance / error) / math.log(rate) > budget
+            )
+        ):
+            return pi, k, None
+    raise AssertionError("unreachable: the damped iteration never ends")
+
+
+def _factorise(chain: DTMC, pin: int) -> np.ndarray:
+    """Stationary distribution by one sparse solve with ``pin``'s mass
+    fixed to 1 before normalising; unlike a normalisation row, the pin
+    keeps the system as sparse as the chain."""
+    matrix = chain.transition_matrix
+    others = np.delete(np.arange(chain.num_states), pin)
+    q = matrix[others][:, others]
+    system = (sparse.identity(others.size, format="csr") - q).T
+    rhs = matrix[pin][:, others].toarray().ravel()
+    pi = np.insert(np.atleast_1d(sparse_linalg.spsolve(system.tocsc(), rhs)), pin, 1.0)
+    # Clean tiny negative round-off and renormalise.
+    pi[pi < 0] = 0.0
+    total = pi.sum()
+    if not np.isfinite(total) or total <= 0:
+        return _stationary_fallback(chain, None)
+    return pi / total
 
 
 def _stationary_impl(
     chain: DTMC,
     *,
     assume_irreducible: bool = False,
-    method: str = "direct",
-    tolerance: float = 1e-12,
-    max_iterations: int = 200_000,
-) -> np.ndarray:
-    """Shared stationary-distribution kernel (direct or iterative).
+    method: str,
+    tolerance: float,
+    max_iterations: int,
+) -> StationarySolve:
+    """Shared stationary-distribution kernel (see the module docstring).
 
-    ``assume_irreducible`` skips the upfront Tarjan pass; callers that
-    know the chain is strongly connected (BSCC sub-chains) use it to
-    avoid re-deriving the SCC structure.  Failures of the direct solve
-    still re-verify irreducibility before falling back, so a reducible
+    ``assume_irreducible`` skips the upfront SCC pass; callers that
+    know the chain is strongly connected (BSCC sub-chains) use it.
+    Irreducibility is still verified before an iterate is returned or
+    after a factorisation fails, so a reducible
     chain raises :class:`ReducibleChainError` instead of quietly
-    returning a start-state-dependent power-iteration result.
+    returning a start-state-dependent answer.
     """
     if not assume_irreducible and not is_irreducible(chain):
         raise ReducibleChainError(
             "chain is not irreducible; use long_run_distribution() instead"
         )
-    n = chain.num_states
-    if n == 1:
-        return np.ones(1)
-    if method in _ITERATIVE_METHODS:
-        # Damped (lazy-chain) fixpoint: pi <- pi (I + P)/2 has the same
-        # stationary distribution but is aperiodic for every chain, so
-        # it converges even on periodic irreducible chains where plain
-        # power iteration oscillates forever.  A uniform start keeps
-        # the limit independent of the chain's initial distribution.
-        matrix = chain.transition_matrix
-        pi = np.full(n, 1.0 / n)
-        for _ in range(max_iterations):
-            nxt = 0.5 * (pi + pi @ matrix)
-            if np.abs(nxt - pi).sum() < tolerance:
-                return nxt
-            pi = nxt
-        raise SolverError(
-            f"damped power iteration did not converge within"
-            f" {max_iterations} iterations"
+    if chain.num_states == 1:
+        return StationarySolve(np.ones(1), 0, False, 0.0)
+    steps = _damped_steps(chain)
+    if method == "direct":
+        pi, _ = next(islice(steps, PROBE_ITERATIONS - 1, None))
+        return StationarySolve(
+            _factorise(chain, int(np.argmax(pi))), PROBE_ITERATIONS, True
         )
-    # Transpose system: (P^T - I) pi^T = 0, replace last equation by 1^T pi = 1.
-    a = (chain.transition_matrix.T - sparse.identity(n, format="csr")).tolil()
-    a[n - 1, :] = np.ones(n)
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    try:
-        pi = sparse_linalg.spsolve(a.tocsr(), b)
-    except RuntimeError as exc:  # pragma: no cover - singular corner cases
-        return _stationary_fallback(chain, exc)
-    pi = np.asarray(pi, dtype=np.float64)
-    # Clean tiny negative round-off and renormalize.
-    pi[pi < 0] = 0.0
-    total = pi.sum()
-    if not np.isfinite(total) or total <= 0:
-        return _stationary_fallback(chain, None)
-    return pi / total
+    lu = method == "lu"
+    budget = min(ITERATION_BUDGET, max_iterations) if lu else max_iterations
+    pi, iterations, error = _certified_iterate(steps, tolerance, budget, project=lu)
+    if error is None:
+        if not lu:
+            raise SolverError(
+                f"damped power iteration did not converge within"
+                f" {max_iterations} iterations"
+            )
+        return StationarySolve(_factorise(chain, int(np.argmax(pi))), iterations, True)
+    # A reducible chain has fixed points too (two absorbing states:
+    # residual 0), so an iterate is an answer only on a verified chain.
+    if assume_irreducible and not is_irreducible(chain):
+        raise ReducibleChainError(f"the chain is not irreducible: {_NO_UNIQUE}")
+    return StationarySolve(pi / pi.sum(), iterations, False, error)
+
+
+def _engine(engine):
+    if engine is None:
+        from ..engine.core import Engine  # the engine layer imports this module
+
+        engine = Engine()
+    return engine
 
 
 def stationary_distribution(
@@ -159,18 +270,15 @@ def stationary_distribution(
 ) -> np.ndarray:
     """Unique stationary distribution of an irreducible chain.
 
-    Solves ``pi (P - I) = 0`` with the normalization ``sum(pi) = 1`` by
-    replacing one column of the system with the all-ones constraint;
-    this is the standard direct method and is exact up to the sparse
-    solver's accuracy.  With an ``engine``, the result is memoized per
-    chain and the engine's configured method is used (iterative
-    backends compute it by uniform-start power iteration).
+    Solves ``pi (P - I) = 0`` with ``sum(pi) = 1`` by the engine's
+    configured method (a fresh default engine without one): under the
+    default ``lu`` config a certified damped iterate, else a pinned
+    sparse factorisation; see the module docstring.  With an
+    ``engine``, the result is memoized per chain.
     """
-    if engine is not None:
-        return engine.stationary_distribution(
-            chain, assume_irreducible=assume_irreducible
-        )
-    return _stationary_impl(chain, assume_irreducible=assume_irreducible)
+    return _engine(engine).stationary_distribution(
+        chain, assume_irreducible=assume_irreducible
+    )
 
 
 def absorption_probabilities(
@@ -183,77 +291,59 @@ def absorption_probabilities(
     of absorption into each class *from the initial distribution*.
 
     Uses the fundamental-matrix formulation restricted to transient
-    states: ``(I - Q) x = R 1_class``.  The factorization of
-    ``(I - Q)`` is shared across classes — and, with an ``engine``,
-    with every other solve against the same transient subsystem.
+    states: ``(I - Q) x = R 1_class``, solved through the engine (a
+    fresh default one without it), so the factorization of ``(I - Q)``
+    is shared across classes and with every other solve against the
+    same transient subsystem.
     """
+    engine = _engine(engine)
     n = chain.num_states
     in_class = np.full(n, -1, dtype=np.int64)
     for class_id, members in enumerate(targets):
-        for s in members:
-            in_class[s] = class_id
-    transient = np.where(in_class < 0)[0]
-    result = np.zeros(len(targets))
+        in_class[np.asarray(members, dtype=np.int64)] = class_id
+    classed = np.flatnonzero(in_class >= 0)
     init = chain.initial_distribution
-
     # Mass already starting inside a class.
-    for class_id, members in enumerate(targets):
-        result[class_id] += float(init[members].sum())
-
+    result = np.bincount(
+        in_class[classed], weights=init[classed], minlength=len(targets)
+    )
+    transient = np.flatnonzero(in_class < 0)
     if transient.size == 0:
         return result
 
-    matrix = chain.transition_matrix
-    if engine is None:
-        sub = matrix[transient][:, transient]
-        identity = sparse.identity(transient.size, format="csr")
-        lu = sparse_linalg.splu((identity - sub).tocsc())
-        solve = lu.solve
-    else:
-        solve = lambda rhs: engine.solve_subsystem(chain, transient, rhs)  # noqa: E731
-    for class_id, members in enumerate(targets):
-        rhs = np.asarray(matrix[transient][:, members].sum(axis=1)).ravel()
+    indicator = sparse.csr_matrix(
+        (np.ones(classed.size), (classed, in_class[classed])),
+        shape=(n, len(targets)),
+    )
+    into = (chain.transition_matrix[transient] @ indicator).tocsc()
+    for class_id in range(len(targets)):
+        rhs = into[:, class_id].toarray().ravel()
         if not rhs.any():
             continue
-        absorbed = solve(rhs)
+        absorbed = engine.solve_subsystem(chain, transient, rhs)
         result[class_id] += float(init[transient] @ absorbed)
     return result
 
 
-def _long_run_impl(chain: DTMC, engine=None) -> np.ndarray:
+def _long_run_impl(chain: DTMC, engine) -> np.ndarray:
     """BSCC-weighted long-run distribution (the actual computation)."""
-    if engine is not None:
-        classes = engine.bottom_sccs(chain)
-        method = engine.config.method
-        tolerance = engine.config.tolerance
-        max_iterations = engine.config.max_iterations
-    else:
-        classes = bottom_sccs(chain)
-        method, tolerance, max_iterations = "direct", 1e-12, 200_000
+    classes = engine.bottom_sccs(chain)
     weights = absorption_probabilities(chain, classes, engine=engine)
     result = np.zeros(chain.num_states)
     for members, weight in zip(classes, weights):
         if weight <= 0.0:
             continue
-        sub = chain.restricted_to(members)
+        size = len(members)
         # The appended sink is unreachable for a bottom class; drop it.
-        sub_matrix = sub.transition_matrix[: len(members), : len(members)]
         sub_chain = DTMC(
-            sub_matrix,
-            np.full(len(members), 1.0 / len(members)),
+            chain.restricted_to(members).transition_matrix[:size, :size],
+            np.full(size, 1.0 / size),
             validate=False,
         )
         # A BSCC is strongly connected by construction, so skip the
-        # per-class Tarjan pass the public entry point would run.
-        pi = _stationary_impl(
-            sub_chain,
-            assume_irreducible=True,
-            method=method,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-        )
-        for local, global_index in enumerate(members):
-            result[global_index] = weight * pi[local]
+        # per-class SCC pass the public entry point would run.
+        pi = engine._stationary_solve(sub_chain, assume_irreducible=True)
+        result[members] = weight * pi
     return result
 
 
@@ -267,9 +357,7 @@ def long_run_distribution(chain: DTMC, *, engine=None) -> np.ndarray:
     With an ``engine``, the decomposition and the result are memoized
     per chain.
     """
-    if engine is not None:
-        return engine.long_run_distribution(chain)
-    return _long_run_impl(chain)
+    return _engine(engine).long_run_distribution(chain)
 
 
 def long_run_reward(

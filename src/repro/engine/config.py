@@ -6,16 +6,27 @@ family.  The five methods mirror PRISM's engine choices:
 
 ``direct``
     One-shot sparse LU (``scipy.sparse.linalg.spsolve``) per solve;
-    nothing is reused.  The seed's historical behaviour.
+    nothing is reused.  Steady state always factorises (one state's
+    mass pinned), so this is the factorising reference the other
+    backends are tested against.
 ``lu``
     Sparse LU factorization (``splu``) cached per ``(chain, subsystem)``
     and reused across properties and right-hand sides.  The default.
+    Steady state takes a *certified iterate, else a factorisation*:
+    each BSCC's damped iteration is kept only if its residual and its
+    rate-based error estimate are both within ``tolerance`` on a chain
+    verified irreducible, and only while the observed contraction rate
+    projects that within a fixed iteration budget; otherwise the BSCC
+    is factorised like ``direct`` (see :mod:`repro.dtmc.steady_state`).
 ``power``
     Fixpoint (value) iteration ``x <- A x + b``.
 ``jacobi``
     Jacobi iteration with the diagonal divided out.
 ``gauss-seidel``
     In-place Gauss-Seidel sweeps (PRISM's favourite DTMC engine).
+
+The three iterative methods compute steady state by the same damped
+iteration alone, certified the same way, and never factorise.
 """
 
 from __future__ import annotations
@@ -52,7 +63,9 @@ class SolverConfig:
         as ``"gs"`` or ``"lu-cached"`` are normalized on construction).
     tolerance:
         Convergence threshold of the iterative methods (max-norm of the
-        update step), and of steady-state power iteration.
+        update step), and the bound a steady-state iterate's certified
+        L1 error must meet on every method that iterates (``lu``
+        included).
     max_iterations:
         Iteration cap of the iterative methods; exceeding it raises
         :class:`repro.dtmc.SolverError`.

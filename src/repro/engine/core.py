@@ -15,8 +15,9 @@ of property checks needs:
 * BSCC decompositions, stationary distributions and long-run
   distributions are memoized per chain;
 * every cache hit/miss and factorization is counted in
-  :class:`EngineStats`, which the analyzer surfaces as provenance on
-  its :class:`~repro.core.analyzer.Guarantee` records.
+  :class:`EngineStats` — stationary solves as iterated or factorised —
+  which the analyzer surfaces as provenance on its
+  :class:`~repro.core.analyzer.Guarantee` records.
 
 Engines hold per-chain caches through weak references, so dropping a
 chain frees its factorizations.
@@ -34,7 +35,7 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ..dtmc import steady_state as _steady
 from ..dtmc.chain import DTMC
-from ..dtmc.graph import bottom_sccs, constrained_backward_reachable
+from ..dtmc.graph import backward_reachable_mask, bottom_sccs
 from ..dtmc.linear import gauss_seidel_solve, jacobi_solve, power_solve
 from ..dtmc.simulate import PathSampler
 from ..dtmc.sparse_utils import as_csr
@@ -62,6 +63,13 @@ class EngineStats:
     sampler_builds: int = 0
     sampler_cache_hits: int = 0
     matvecs: int = 0
+    #: Stationary solves answered by a certified iterate / by factorising.
+    stationary_iterated: int = 0
+    stationary_factorised: int = 0
+    #: Damped iterations those solves ran, probes that gave up included.
+    stationary_iterations: int = 0
+    #: Largest certified L1 error of an accepted iterate.
+    stationary_max_error: float = 0.0
 
     @property
     def cache_hits(self) -> int:
@@ -76,7 +84,7 @@ class EngineStats:
             + self.sampler_cache_hits
         )
 
-    def snapshot(self) -> Dict[str, int]:
+    def snapshot(self) -> Dict[str, float]:
         """Copy of all counters (for before/after provenance deltas)."""
         return {
             name: getattr(self, name)
@@ -240,23 +248,15 @@ class Engine:
         if hit is not None:
             self.stats.prob01_cache_hits += 1
             return hit[0].copy(), hit[1].copy()
-        n = chain.num_states
         through = left & ~right
 
         # Prob0: complement of backward reachability from `right`.
-        can_reach = constrained_backward_reachable(
-            chain, np.nonzero(right)[0], through
-        )
-        prob0 = np.ones(n, dtype=bool)
-        prob0[list(can_reach)] = False
+        prob0 = ~backward_reachable_mask(chain, np.flatnonzero(right), through)
 
         # Prob1 = complement of states that, staying within left&!right,
         # can reach a Prob0 state (Baier & Katoen, Lemma 10.16).
-        prob0_states = np.nonzero(prob0)[0]
-        can_fail = constrained_backward_reachable(chain, prob0_states, through)
-        prob1 = np.ones(n, dtype=bool)
-        prob1[list(can_fail)] = False
-        prob1[prob0_states] = False
+        can_fail = backward_reachable_mask(chain, np.flatnonzero(prob0), through)
+        prob1 = ~can_fail & ~prob0
         prob1 |= right  # target states trivially satisfy
 
         cache.prob01[key] = (prob0, prob1)
@@ -342,17 +342,35 @@ class Engine:
         """Memoized stationary distribution of an irreducible chain."""
         cache = self._cache(chain)
         if cache.stationary is None:
-            cache.stationary = _steady._stationary_impl(
-                chain,
-                assume_irreducible=assume_irreducible,
-                method=self.config.method,
-                tolerance=self.config.tolerance,
-                max_iterations=self.config.max_iterations,
+            cache.stationary = self._stationary_solve(
+                chain, assume_irreducible=assume_irreducible
             )
             self.stats.stationary_computations += 1
         else:
             self.stats.stationary_cache_hits += 1
         return cache.stationary
+
+    def _stationary_solve(
+        self, chain: DTMC, *, assume_irreducible: bool
+    ) -> np.ndarray:
+        """One uncached stationary solve on the configured method,
+        counted as iterated or factorised."""
+        solve = _steady._stationary_impl(
+            chain,
+            assume_irreducible=assume_irreducible,
+            method=self.config.method,
+            tolerance=self.config.tolerance,
+            max_iterations=self.config.max_iterations,
+        )
+        s = self.stats
+        if solve.factorised:
+            s.stationary_factorised += 1
+        else:
+            s.stationary_iterated += 1
+        s.stationary_iterations += solve.iterations
+        if solve.error is not None:
+            s.stationary_max_error = max(s.stationary_max_error, solve.error)
+        return solve.pi
 
     def path_sampler(self, chain: DTMC) -> PathSampler:
         """Memoized :class:`~repro.dtmc.simulate.PathSampler`.
@@ -397,6 +415,9 @@ class Engine:
             f"engine[{self.config.method}] solves={s.solves}"
             f" lu={s.lu_factorizations}(+{s.lu_cache_hits} hits)"
             f" prob01={s.prob01_computations}(+{s.prob01_cache_hits} hits)"
+            f" stationary={s.stationary_iterated} iterated"
+            f"/{s.stationary_factorised} factorised"
+            f" ({s.stationary_iterations} its, err<={s.stationary_max_error:.1e})"
             f" cache_hits={s.cache_hits}"
         )
 

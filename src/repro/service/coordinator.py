@@ -772,9 +772,18 @@ class CoordinatorServer:
 
     def stop(self, *, shutdown_workers: bool = True) -> None:
         """Stop serving; by default live workers are told to exit on
-        their next heartbeat (no orphaned worker processes)."""
+        their next heartbeat (no orphaned worker processes).  The server
+        keeps answering until every live worker has heard the order,
+        which takes at most one liveness window: a worker silent that
+        long no longer counts as live."""
         if shutdown_workers:
-            self.coordinator._on_shutdown({})
+            coordinator = self.coordinator
+            coordinator._on_shutdown({})
+            while True:
+                with coordinator._lock:
+                    if not coordinator._live_workers():
+                        break
+                time.sleep(0.05)
         self._stop.set()
         self._server.shutdown()
         self._server.server_close()

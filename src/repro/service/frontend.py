@@ -54,7 +54,7 @@ import json
 import threading
 import time
 from dataclasses import asdict, is_dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -349,8 +349,10 @@ class Frontend:
         with self._lock:
             inflight = self._inflight.get(key)
             if inflight is not None:
+                # A done job stays in flight until its value is banked,
+                # so a re-request in that window shares it too.
                 job = self.coordinator.jobs.get(inflight)
-                if job is not None and not job.done and not job.cancelled:
+                if job is not None and not job.cancelled:
                     return inflight
             if not self.breaker.allow():
                 snapshot = self.breaker.snapshot()
@@ -395,22 +397,24 @@ class Frontend:
         self, job: Job, *, query: Dict[str, Any], scenario_id: Any,
         fingerprint: Any, key: str,
     ) -> None:
-        """Job-done callback: write the value under the sweep's key."""
-        with self._lock:
-            self._inflight.pop(key, None)
-        if self.store is None or not job.results:
-            return
-        result = decode_result(job.results[0])
-        if result.ok:
-            self.store.put(
-                scenario_id,
-                query["formula"],
-                result.value,
-                backend=query["backend"],
-                config=fingerprint,
-                seconds=result.seconds,
-                extra={"family": query["family"]},
-            )
+        """Job-done callback: write the value under the sweep's key,
+        then retire the in-flight entry (a re-request sees either the
+        job or the banked value, never a gap between them)."""
+        try:
+            result = decode_result(job.results[0]) if job.results else None
+            if self.store is not None and result is not None and result.ok:
+                self.store.put(
+                    scenario_id,
+                    query["formula"],
+                    result.value,
+                    backend=query["backend"],
+                    config=fingerprint,
+                    seconds=result.seconds,
+                    extra={"family": query["family"]},
+                )
+        finally:
+            with self._lock:
+                self._inflight.pop(key, None)
 
     def guarantee(self, params: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
         query = self._parse_guarantee(params)

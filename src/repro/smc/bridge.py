@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ..dtmc.chain import DTMC
-from ..dtmc.graph import constrained_backward_reachable
+from ..dtmc.graph import backward_reachable_mask
 from ..dtmc.simulate import PathSampler
 from ..pctl.ast import Eventually, Globally, Next, ProbQuery, Until, WeakUntil
 from ..pctl.checker import ModelChecker, PctlSemanticsError
@@ -207,12 +207,9 @@ class BatchTrial:
         if kind == "until":
             # States that cannot reach `right` along `left` paths fail
             # every (bounded or not) until — Prob0-style retirement.
-            reach = constrained_backward_reachable(
-                chain, np.nonzero(right)[0], left & ~right
+            self._retire_fail = ~backward_reachable_mask(
+                chain, np.flatnonzero(right), left & ~right
             )
-            dead = np.ones(n, dtype=bool)
-            dead[list(reach)] = False
-            self._retire_fail = dead
             self._retire_pass = np.zeros(n, dtype=bool)
         elif kind == "weak":
             self._retire_fail = np.zeros(n, dtype=bool)

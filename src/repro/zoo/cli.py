@@ -379,6 +379,7 @@ def _spawn_local_workers(address: str, count: int) -> List[Any]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import time
 
     from ..resilience import CircuitBreaker
@@ -419,6 +420,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f" (boot epoch {server.coordinator.epoch})",
             flush=True,
         )
+
+    def _terminate(signum: int, frame: Any) -> None:
+        raise KeyboardInterrupt  # SIGTERM shuts down exactly like Ctrl-C
+
+    try:
+        signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # not the main thread (embedded serve)
+        pass
     try:
         while True:
             time.sleep(0.5)

@@ -338,3 +338,46 @@ class TestReducibleStationaryGuard:
         )
         value = check(chain, "S=? [ mid ]", config=method).value
         assert value == pytest.approx(0.5, abs=AGREEMENT_TOLERANCE)
+
+
+class TestStationaryPath:
+    """EngineStats and Guarantee provenance say which path produced a
+    steady-state value: the certified iterate or the factorisation."""
+
+    def test_fast_mixing_chain_takes_the_certified_iterate(self, viterbi_chain):
+        engine = Engine()
+        check(viterbi_chain, "S=? [ flag ]", engine=engine)
+        stats = engine.stats
+        assert (stats.stationary_iterated, stats.stationary_factorised) == (1, 0)
+        assert stats.stationary_iterations > 0
+        assert 0.0 <= stats.stationary_max_error <= engine.config.tolerance
+        assert "1 iterated/0 factorised" in engine.describe()
+
+    def test_slow_chain_gives_up_after_the_probe_and_factorises(self):
+        from repro import zoo
+        from repro.dtmc.steady_state import PROBE_ITERATIONS
+
+        chain = zoo.build("birth-death", {"n": 16}, reduce=False).chain
+        engine = Engine()
+        value = check(chain, "S=? [ goal ]", engine=engine).value
+        stats = engine.stats
+        assert (stats.stationary_iterated, stats.stationary_factorised) == (0, 1)
+        assert stats.stationary_iterations == PROBE_ITERATIONS
+        assert value == pytest.approx(
+            check(chain, "S=? [ goal ]", config="direct").value, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("method, iterated", [("direct", 0), ("power", 1)])
+    def test_explicit_methods_keep_their_meaning(self, viterbi_chain, method, iterated):
+        engine = Engine(method)
+        check(viterbi_chain, "S=? [ flag ]", engine=engine)
+        assert engine.stats.stationary_iterated == iterated
+        assert engine.stats.stationary_factorised == 1 - iterated
+
+    def test_guarantee_records_the_stationary_path(self, viterbi_chain):
+        analyzer = PerformanceAnalyzer(viterbi_chain, name="viterbi-reduced")
+        ber = analyzer.check("S=? [ flag ]")
+        assert ber.stationary.startswith("1 iterated (")
+        assert "stationary 1 iterated" in str(ber)
+        assert analyzer.check("S=? [ flag ]").stationary == ""  # cache hit
+        assert analyzer.check("P=? [ F<=5 flag ]").stationary == ""

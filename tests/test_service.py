@@ -57,6 +57,7 @@ from repro.service import (
     FrontendServer,
     Worker,
     WireError,
+    free_port,
     parse_address,
 )
 from repro.service import wire
@@ -620,6 +621,40 @@ class TestFrontend:
                 assert len(server.coordinator.jobs) == jobs_before
                 assert front.hits == 1
 
+    def test_rerequest_while_banking_shares_the_done_job(self, tmp_path):
+        """A re-request after the job is done but before its value is
+        banked shares that job instead of submitting a second one."""
+        entered, release = threading.Event(), threading.Event()
+        with ResultStore(tmp_path / "race.sqlite") as store:
+            real_put = store.put
+
+            def held_put(*args, **kwargs):
+                entered.set()
+                release.wait(30.0)
+                return real_put(*args, **kwargs)
+
+            store.put = held_put
+            with _fleet(classes=(_TameWorker,)) as (server, _workers):
+                front = Frontend(server.coordinator, store=store)
+                query = "/guarantee?family=birth-death&n=8"
+                status, body = front.route("GET", query)
+                assert status == 202
+                try:
+                    assert entered.wait(30.0)  # done; the put is held
+                    assert server.coordinator.jobs[body["job"]].done
+                    jobs_before = len(server.coordinator.jobs)
+                    status, again = front.route("GET", query)
+                    assert (status, again["job"]) == (202, body["job"])
+                    assert len(server.coordinator.jobs) == jobs_before
+                finally:
+                    release.set()
+                deadline = time.time() + 10.0
+                while time.time() < deadline and front._inflight:
+                    time.sleep(0.01)
+                status, warm = front.route("GET", query)
+                assert status == 200 and warm["cached"]
+                assert len(server.coordinator.jobs) == jobs_before
+
     def test_stats_payload_includes_store_and_coordinator(self, tmp_path):
         with ResultStore(tmp_path / "stats.sqlite") as store:
             front = Frontend(Coordinator(salt="s"), store=store)
@@ -763,3 +798,54 @@ class TestInterrupts:
         assert code == 130
         err = capsys.readouterr().err
         assert "interrupted" in err and "--store" in err
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a running (not exited, not zombie) process?"""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+class TestServeShutdown:
+    def test_sigterm_stops_serve_and_its_workers(self):
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        address = f"127.0.0.1:{free_port()}"
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.zoo", "serve", "--port", "0",
+             "--coordinator-port", address.split(":")[1], "--workers", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            pid = None
+            deadline = time.time() + 60.0
+            while pid is None and time.time() < deadline:
+                try:
+                    workers = service_stats(address)["workers"]
+                except (OSError, WireError):
+                    workers = []
+                pid = next((w["pid"] for w in workers if w["alive"]), None)
+                time.sleep(0.1)
+            assert pid is not None, "serve --workers 1 never registered a worker"
+            serve.send_signal(signal.SIGTERM)
+            deadline = time.time() + 10.0
+            while _alive(pid) and time.time() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid), "worker outlived a SIGTERMed serve"
+            assert serve.wait(timeout=10.0) == 0
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()

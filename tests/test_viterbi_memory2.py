@@ -8,6 +8,7 @@ partial-response channel with a 2^m-state trellis.
 import numpy as np
 import pytest
 
+from repro.engine import Engine
 from repro.pctl import check
 from repro.sim import simulate_viterbi_ber
 from repro.viterbi import (
@@ -24,6 +25,12 @@ MEM2 = ViterbiModelConfig(
     pm_max=4,
     taps=(1.0, 0.5, 0.5),
 )
+
+
+#: ``S=? [ flag ]`` of MEM2 by the direct factorisation.  It takes about
+#: a minute there (SuperLU fill-in on the 21k-state BSCC), so the value
+#: is pinned here rather than recomputed.
+MEM2_DIRECT_BER = 0.029320245400258342
 
 
 class TestConfigValidation:
@@ -58,6 +65,16 @@ class TestMemory2Model:
     def test_ber_checkable(self, model):
         ber = check(model.chain, "S=? [ flag ]").value
         assert 0 < ber < 0.5
+
+    def test_ber_matches_direct_and_power(self, model):
+        """The default engine answers from a certified iterate that agrees
+        with the direct factorisation and the power iteration to 1e-12."""
+        engine = Engine()
+        ber = check(model.chain, "S=? [ flag ]", engine=engine).value
+        assert engine.stats.stationary_iterated == 1
+        assert ber == pytest.approx(MEM2_DIRECT_BER, abs=1e-12)
+        power = check(model.chain, "S=? [ flag ]", config="power").value
+        assert ber == pytest.approx(power, abs=1e-12)
 
     def test_ber_decreases_with_snr(self):
         bers = []
