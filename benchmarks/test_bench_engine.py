@@ -6,18 +6,28 @@ solve, steady state, lumping, symbolic cross-check), so regressions in
 the engine show up independently of the case studies.
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.reductions import lump
 from repro.dtmc import (
+    build_dtmc,
     distribution_at,
     stationary_distribution,
 )
 from repro.engine import Engine
 from repro.pctl import ModelChecker, check
 from repro.symbolic import SymbolicEngine
-from repro.viterbi import ViterbiModelConfig, build_full_model, build_reduced_model
+from repro.viterbi import (
+    ViterbiKernel,
+    ViterbiModelConfig,
+    build_full_model,
+    build_reduced_model,
+    full_transition,
+)
+from repro.viterbi.dtmc_model import _initial_full_state
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +82,51 @@ def test_bench_memory2_steady_state_ber(benchmark):
     value, engine = benchmark.pedantic(ber, rounds=1, iterations=1)
     assert value == pytest.approx(MEM2_DIRECT_BER, abs=1e-12)
     assert engine.stats.stationary_iterated == 1
+
+
+def test_bench_full_model_exploration(benchmark):
+    """Array exploration of the memory-2 full model, one BFS level at a
+    time from the kernel tables."""
+    result = benchmark.pedantic(
+        lambda: build_full_model(MEM2), rounds=1, iterations=1
+    )
+    assert result.num_states == 38_275
+
+
+#: The 6,081-state memory-2 full model of the ``solve-large`` benchmark
+#: workload (traceback 3, 5 quantizer levels, 8 BFS levels).
+SOLVE_LARGE_MEM2 = ViterbiModelConfig(
+    snr_db=5.602, traceback_length=3, num_levels=5, taps=(1.0, 1.0, 1.0)
+)
+
+
+def test_full_model_exploration_speedup_at_least_3x(benchmark):
+    """The acceptance bar: the array build is >= 3x faster than
+    :func:`build_dtmc` on the per-state :func:`full_transition`, and
+    builds the same chain.  The reference gets its kernel for free; the
+    array build pays for its kernel and table closure."""
+    kernel = ViterbiKernel(SOLVE_LARGE_MEM2)
+    start = time.perf_counter()
+    reference = build_dtmc(full_transition(kernel), _initial_full_state(kernel))
+    per_state_seconds = time.perf_counter() - start
+
+    array_seconds = []
+
+    def explore():
+        start = time.perf_counter()
+        result = build_full_model(SOLVE_LARGE_MEM2)
+        array_seconds.append(time.perf_counter() - start)
+        return result
+
+    result = benchmark.pedantic(explore, rounds=5, iterations=1)
+    assert result.num_states == 6_081
+    assert result.states == reference.states
+    assert result.bfs_levels == reference.bfs_levels
+    speedup = per_state_seconds / min(array_seconds)
+    benchmark.extra_info["per_state_seconds"] = per_state_seconds
+    benchmark.extra_info["array_seconds"] = min(array_seconds)
+    benchmark.extra_info["speedup_vs_per_state"] = speedup
+    assert speedup >= 3.0, f"array build only {speedup:.1f}x faster"
 
 
 def test_bench_lumping(benchmark, viterbi_chain):

@@ -80,7 +80,7 @@ def snr_sweep():
 
 
 def main():
-    config = ViterbiModelConfig()  # 5 dB, L=4 (see DESIGN.md for scale)
+    config = ViterbiModelConfig()  # 5 dB, L=4: laptop scale, not the paper's L=6
     full, reduced = build_models(config)
     prove_soundness(full, reduced)
     model_ber = check_properties(config, reduced)

@@ -7,8 +7,8 @@ variables, equivalence of two combinational functions is decidable by
 exhaustive enumeration; this module provides exactly that, returning a
 counterexample assignment when the functions differ.
 
-This is the substitution documented in DESIGN.md: same decision
-problem, same verdict, different engine.
+Exhaustive enumeration stands in for Formality: same decision problem,
+same verdict, different engine.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from .chain import DTMC, DTMCValidationError, dtmc_from_dict
 from .builder import (
     ExplorationLimitError,
     ExplorationResult,
+    build_array_dtmc,
     build_dtmc,
     build_iid_dtmc,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "dtmc_from_dict",
     "ExplorationLimitError",
     "ExplorationResult",
+    "build_array_dtmc",
     "build_dtmc",
     "build_iid_dtmc",
     "backward_reachable",

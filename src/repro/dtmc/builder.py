@@ -3,12 +3,28 @@ into an explicit :class:`~repro.dtmc.chain.DTMC`.
 
 This is the bridge between RTL-style models (the Viterbi decoder and
 MIMO detector modules, or guarded-command programs from
-:mod:`repro.prog`) and the model-checking engine.  A model is any
-function mapping a hashable state to a finite distribution over
-successor states; the builder performs a breadth-first exploration from
-the initial states, interning states as it discovers them.
+:mod:`repro.prog`) and the model-checking engine.  Two explorers share
+one numbering rule: breadth-first from the initial state, a state's
+index is its first occurrence in its level's state-major, branch-minor
+successor stream, so state 0 is the initial state and ``bfs_levels`` is
+the paper's reachability-iteration (RI) count.
 
-Two scalability features mirror the paper's tooling:
+* :func:`build_dtmc` takes any function mapping a hashable state to a
+  finite distribution over successor states and interns states one
+  branch at a time.  It serves models whose states are arbitrary Python
+  objects: :mod:`repro.prog` programs, the MIMO detector, hand-written
+  test chains, and the per-state reference transitions of the Viterbi
+  models.
+* :func:`build_array_dtmc` takes a state as a row of small ints with a
+  fixed mixed radix and a vectorised step that expands a whole BFS
+  level at once.  Each successor row packs into one int64 key, keys are
+  interned against a sorted key array, and a level's CSR rows come out
+  of array operations with no per-branch Python.  The five Viterbi
+  builders use it; it keeps :func:`build_dtmc`'s probability checks and
+  state limit.
+
+Two scalability features of :func:`build_dtmc` mirror the paper's
+tooling:
 
 * ``canonicalize`` — a hook mapping each discovered state to a
   canonical representative *before* interning.  Supplying the orbit
@@ -34,6 +50,7 @@ from .chain import DTMC, DTMCValidationError
 __all__ = [
     "ExplorationLimitError",
     "ExplorationResult",
+    "build_array_dtmc",
     "build_dtmc",
     "build_iid_dtmc",
 ]
@@ -41,6 +58,11 @@ __all__ = [
 State = Hashable
 Branch = Tuple[float, State]
 TransitionFn = Callable[[State], Sequence[Branch]]
+#: ``step(frontier)`` maps ``k`` state rows, shape ``(k, width)``, to
+#: ``(probabilities (k, B), successor rows (k, B, width))``.
+ArrayStepFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+#: Evaluates a label or reward on every state row at once.
+RowFn = Callable[[np.ndarray], np.ndarray]
 
 #: Probability mass lost to merging/cutoff must stay within this bound
 #: of a renormalizable row.
@@ -53,7 +75,7 @@ class ExplorationLimitError(RuntimeError):
 
 @dataclass
 class ExplorationResult:
-    """Outcome of :func:`build_dtmc`.
+    """Outcome of :func:`build_dtmc` or :func:`build_array_dtmc`.
 
     Attributes
     ----------
@@ -265,6 +287,195 @@ def build_dtmc(
         index=index,
         bfs_levels=bfs_levels,
         discarded_branches=discarded_total,
+    )
+
+
+def _key_weights(radix: Sequence[int]) -> np.ndarray:
+    """Place values of a mixed radix, column 0 most significant.
+
+    Raises ``ValueError`` when the product of the radices (the number
+    of distinct keys) does not fit in 63 bits: keys are never wrapped.
+    """
+    weights: List[int] = []
+    place = 1
+    for base in reversed(radix):
+        if int(base) < 1:
+            raise ValueError(f"radix entries must be >= 1, got {list(radix)}")
+        weights.append(place)
+        place *= int(base)
+    if place >= 1 << 63:
+        raise ValueError(
+            f"state radix {list(radix)} spans {place} keys, which does not"
+            " fit in a 63-bit key"
+        )
+    return np.array(weights[::-1], dtype=np.int64)
+
+
+def _check_digits(rows: np.ndarray, radix: np.ndarray) -> None:
+    if rows.size and ((rows < 0).any() or (rows >= radix).any()):
+        raise DTMCValidationError(
+            "a state row has a column outside its radix; the packed key"
+            " would alias another state"
+        )
+
+
+def build_array_dtmc(
+    step: ArrayStepFn,
+    initial: Sequence[int],
+    radix: Sequence[int],
+    labels: Optional[Mapping[str, RowFn]] = None,
+    rewards: Optional[Mapping[str, RowFn]] = None,
+    decode: Optional[Callable[[np.ndarray], List[State]]] = None,
+    max_states: Optional[int] = None,
+) -> ExplorationResult:
+    """Explore a model whose states are rows of small ints, one BFS
+    level at a time.
+
+    Produces the chain :func:`build_dtmc` would produce from the
+    equivalent per-state transition: the same states in the same order,
+    the same ``bfs_levels`` and the same CSR structure, with
+    probabilities equal up to the rounding of the row normalisation.
+
+    Parameters
+    ----------
+    step:
+        Vectorised transition: ``step(frontier)`` with ``frontier`` of
+        shape ``(k, width)`` returns ``(prob, successors)`` of shapes
+        ``(k, B)`` and ``(k, B, width)``; row ``i``'s branches are
+        ``prob[i, j] -> successors[i, j]``.  Branches with probability 0
+        are dropped (use them to pad rows with fewer than ``B``
+        branches) and duplicate successors of a row are merged.
+    initial:
+        The initial state row (the chain starts there with probability
+        1; it becomes state 0).
+    radix:
+        Column ``c`` of every row lies in ``range(radix[c])``.  Rows pack
+        into one int64 key, so the product of the radices must stay
+        below 2**63.
+    labels / rewards:
+        Functions of the ``(n, width)`` array of all state rows
+        returning one value per state.
+    decode:
+        Maps the state rows to the state objects kept on the chain;
+        without it each state is the tuple of its row.
+    max_states:
+        Abort with :class:`ExplorationLimitError` when the reachable set
+        exceeds this many states (checked once per BFS level).
+
+    A negative branch probability, a row that carries no mass, or a row
+    whose mass is more than :data:`PROBABILITY_TOLERANCE` away from 1
+    raises :class:`~repro.dtmc.chain.DTMCValidationError`, as in
+    :func:`build_dtmc`.
+    """
+    weights = _key_weights(radix)
+    radix_row = np.array([int(r) for r in radix], dtype=np.int64)
+    width = radix_row.size
+    start = np.asarray(initial, dtype=np.int64).reshape(1, width)
+    _check_digits(start, radix_row)
+    if max_states is not None and max_states < 1:
+        raise ExplorationLimitError(f"exploration exceeded max_states={max_states}")
+
+    # The sorted keys of every state found so far, and their indices.
+    known_keys = start @ weights
+    known_ids = np.zeros(1, dtype=np.int64)
+    n = 1
+    frontier = start
+    blocks = [start]
+    indices: List[np.ndarray] = []
+    data: List[np.ndarray] = []
+    row_lengths: List[np.ndarray] = []
+    bfs_levels = 0
+
+    while True:
+        prob, successors = step(frontier)
+        k = frontier.shape[0]
+        prob = np.asarray(prob, dtype=np.float64).reshape(-1)
+        successors = np.asarray(successors, dtype=np.int64).reshape(-1, width)
+        negative = prob < 0
+        if negative.any():
+            raise DTMCValidationError(
+                f"negative branch probability {prob[negative][0]}"
+            )
+        live = prob != 0.0
+        source = np.repeat(np.arange(k), prob.size // k)[live]
+        prob = prob[live]
+        successors = successors[live]
+        _check_digits(successors, radix_row)
+        keys = successors @ weights
+
+        # Intern: known keys by binary search; new keys numbered in
+        # order of first occurrence in the state-major branch stream.
+        slot = np.searchsorted(known_keys, keys).clip(max=known_keys.size - 1)
+        known = known_keys[slot] == keys
+        ids = np.empty(keys.size, dtype=np.int64)
+        ids[known] = known_ids[slot[known]]
+        fresh = np.flatnonzero(~known)
+        new_keys, first, inverse = np.unique(
+            keys[fresh], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        ids[fresh] = n + rank[inverse]
+        at = np.searchsorted(known_keys, new_keys)
+        known_keys = np.insert(known_keys, at, new_keys)
+        known_ids = np.insert(known_ids, at, n + rank)
+        frontier = successors[fresh[first[order]]]
+        n += new_keys.size
+        if max_states is not None and n > max_states:
+            raise ExplorationLimitError(
+                f"exploration exceeded max_states={max_states}"
+            )
+
+        # Merge duplicate successors of a row (summed in branch order),
+        # then normalise each row; CSR columns come out sorted.
+        pairs, inverse = np.unique(source * n + ids, return_inverse=True)
+        mass = np.bincount(inverse, weights=prob)
+        rows = pairs // n
+        lengths = np.bincount(rows, minlength=k)
+        totals = np.bincount(rows, weights=mass, minlength=k)
+        if (lengths == 0).any() or (totals <= 0.0).any():
+            raise DTMCValidationError(
+                "state has no outgoing probability mass; fix the model"
+            )
+        off = np.abs(totals - 1.0) > PROBABILITY_TOLERANCE
+        if off.any():
+            raise DTMCValidationError(
+                f"branch probabilities sum to {totals[off][0]}, expected 1.0"
+            )
+        indices.append(pairs - rows * n)
+        data.append(mass / totals[rows])
+        row_lengths.append(lengths)
+
+        if not frontier.size:
+            break
+        blocks.append(frontier)
+        bfs_levels += 1
+
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_lengths))))
+    matrix = sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n)
+    )
+    state_rows = np.concatenate(blocks)
+    init_vec = np.zeros(n)
+    init_vec[0] = 1.0
+    states = (
+        decode(state_rows)
+        if decode is not None
+        else [tuple(row) for row in state_rows.tolist()]
+    )
+    chain = DTMC(
+        matrix,
+        init_vec,
+        labels={name: fn(state_rows) for name, fn in (labels or {}).items()},
+        rewards={name: fn(state_rows) for name, fn in (rewards or {}).items()},
+        states=states,
+    )
+    return ExplorationResult(
+        chain=chain,
+        states=states,
+        index={state: i for i, state in enumerate(states)},
+        bfs_levels=bfs_levels,
     )
 
 

@@ -99,7 +99,20 @@ __all__ = [
 #: pool, and the networked worker fleet of :mod:`repro.service`.
 EXECUTORS = ("serial", "thread", "process", "remote")
 
-_EXECUTORS = EXECUTORS
+
+def validate_executor(executor: str, error: type = ValueError) -> None:
+    """Reject an unknown executor name with the full list of choices.
+
+    Every sweep entry point calls this first, so a typo fails before
+    any grid, store traffic or seed spawning, not deep in a runner.
+    ``error`` is the ``ValueError`` subclass to raise (the zoo raises
+    its own :class:`~repro.zoo.registry.ZooError`).
+    """
+    if executor not in EXECUTORS:
+        raise error(
+            f"unknown executor {executor!r}; choose from {', '.join(EXECUTORS)}"
+        )
+
 
 #: Checking backends of :func:`sweep_check`: the exact solver engine,
 #: the Hoeffding estimator, and the sequential probability ratio test.
@@ -512,10 +525,7 @@ def sweep(
     shut down cleanly (pools terminated, remote job cancelled — no
     orphaned workers), carrying the completed partial results.
     """
-    if executor not in _EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {', '.join(_EXECUTORS)}"
-        )
+    validate_executor(executor)
     if on_error not in ("capture", "raise"):
         raise ValueError(f"on_error must be 'capture' or 'raise', got {on_error!r}")
     retry = RetryPolicy.coerce(retry)
@@ -717,12 +727,7 @@ def sweep_check(
         raise ValueError(
             f"unknown backend {backend!r}; choose from {', '.join(CHECK_BACKENDS)}"
         )
-    if executor not in _EXECUTORS:
-        # Fail before any store traffic or seed spawning, with the full
-        # executor list — not a deep error out of the runner.
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {', '.join(_EXECUTORS)}"
-        )
+    validate_executor(executor)
     if backend == "sprt" and theta is None:
         raise ValueError("backend='sprt' needs a threshold theta")
     points = list(points)

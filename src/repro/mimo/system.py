@@ -29,7 +29,7 @@ FADING_SIGMA = math.sqrt(0.5)
 class MimoSystemConfig:
     """Parameters of a 1xN (receive-diversity) MIMO detector study.
 
-    Defaults follow DESIGN.md's laptop-scale setting: a 3-level
+    Defaults are a laptop-scale setting: a 3-level
     received-sample quantizer and a 2-level fading quantizer keep the
     *full* (unreduced) 1x2 model explicitly buildable so the symmetry
     reduction can be verified against it; the paper's Table II is the

@@ -3,7 +3,7 @@
 * :mod:`trellis`, :mod:`decoder` — the bit-true device (trellis
   geometry, ACS, truncated traceback).
 * :mod:`dtmc_model` — the paper's full model ``M`` (+ P3 error-counter
-  variant).
+  variant) and the kernel tables every model is explored from.
 * :mod:`reduced_model` — the property-preserving reduction ``M_R`` with
   the explicit abstraction function ``F_abs``.
 * :mod:`convergence` — the traceback-convergence model for property C1.
@@ -21,6 +21,7 @@ from .dtmc_model import (
     ViterbiModelConfig,
     build_error_count_model,
     build_full_model,
+    error_count_transition,
     full_transition,
     traceback_flag,
 )
@@ -30,6 +31,7 @@ from .reduced_model import (
     abstraction_function,
     build_reduced_error_count_model,
     build_reduced_model,
+    reduced_error_count_transition,
     reduced_flag,
     reduced_transition,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "ViterbiModelConfig",
     "build_error_count_model",
     "build_full_model",
+    "error_count_transition",
     "full_transition",
     "traceback_flag",
     "ViterbiReducedErrcntState",
@@ -53,6 +56,7 @@ __all__ = [
     "abstraction_function",
     "build_reduced_error_count_model",
     "build_reduced_model",
+    "reduced_error_count_transition",
     "reduced_flag",
     "reduced_transition",
     "ACSResult",

@@ -30,8 +30,10 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Optional
 
-from ..dtmc.builder import ExplorationResult, build_dtmc
-from .dtmc_model import ViterbiKernel, ViterbiModelConfig
+import numpy as np
+
+from ..dtmc.builder import ExplorationResult, build_array_dtmc
+from .dtmc_model import ViterbiKernel, ViterbiModelConfig, decode_rows
 
 __all__ = [
     "ViterbiConvergenceState",
@@ -44,16 +46,20 @@ ViterbiConvergenceState = namedtuple(
 )
 
 
-def convergence_transition(kernel: ViterbiKernel) -> Callable:
-    """Transition function of the convergence model.
-
-    ``count' = 0`` on a convergent stage, else ``min(count+1, L)``.
-    """
+def _require_memory_1(kernel: ViterbiKernel) -> None:
     if kernel.config.memory != 1:
         raise ValueError(
             "the convergence model tracks a single previous bit; memory-m"
             " channels are supported by the full error model only"
         )
+
+
+def convergence_transition(kernel: ViterbiKernel) -> Callable:
+    """Transition function of the convergence model.
+
+    ``count' = 0`` on a convergent stage, else ``min(count+1, L)``.
+    """
+    _require_memory_1(kernel)
     length = kernel.config.traceback_length
 
     def transition(state: ViterbiConvergenceState):
@@ -71,23 +77,52 @@ def convergence_transition(kernel: ViterbiKernel) -> Callable:
     return transition
 
 
+def _convergence_step(kernel: ViterbiKernel):
+    """Vectorised :func:`convergence_transition` on rows
+    ``[pm id, x0, count]``."""
+    _require_memory_1(kernel)
+    length = kernel.config.traceback_length
+    survivor = kernel.survivor
+    convergent = (survivor == survivor[:, :1]).all(axis=1)
+
+    def step(rows: np.ndarray):
+        prob, new_pm, survivors, bit = kernel.step(rows[:, 0], rows[:, 1])
+        count = np.minimum(rows[:, 2] + 1, length)[:, None]
+        out = np.stack(
+            [new_pm, bit, np.where(convergent[survivors], 0, count)], axis=-1
+        )
+        return prob, out
+
+    return step
+
+
 def build_convergence_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+    config: Optional[ViterbiModelConfig] = None, *, max_states: Optional[int] = None
 ) -> ExplorationResult:
     """Explore the convergence DTMC.
 
     The chain carries the ``nonconv`` label and matching 0/1 reward;
     C1 is ``R=? [ I=T ]`` (the chain's only reward), or equivalently
-    ``S=? [ nonconv ]`` in steady state.
+    ``S=? [ nonconv ]`` in steady state.  Explored as kernel-table rows;
+    :func:`convergence_transition` is the per-state reference.
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
     length = config.traceback_length
-    initial = ViterbiConvergenceState(kernel.initial_pm(), 0, 0)
-    return build_dtmc(
-        convergence_transition(kernel),
-        initial=initial,
-        labels={"nonconv": lambda s: s.count >= length},
-        rewards={"nonconv": lambda s: float(s.count >= length)},
-        **builder_kwargs,
+    return build_array_dtmc(
+        _convergence_step(kernel),
+        initial=[0, 0, 0],
+        radix=[len(kernel.pm_vectors), 2, length + 1],
+        labels={"nonconv": lambda rows: rows[:, 2] >= length},
+        rewards={"nonconv": lambda rows: (rows[:, 2] >= length).astype(np.float64)},
+        decode=lambda rows: decode_rows(
+            ViterbiConvergenceState,
+            rows,
+            [
+                (slice(0, 1), lambda ids: kernel.pm_vectors[ids[0]]),
+                (slice(1, 2), lambda bits: bits[0]),
+                (slice(2, 3), lambda counts: counts[0]),
+            ],
+        ),
+        max_states=max_states,
     )

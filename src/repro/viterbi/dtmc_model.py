@@ -25,14 +25,17 @@ state count reported for P3 in Table I.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..comm.channel import PartialResponseTransmitter
 from ..comm.quantizer import UniformQuantizer
 from ..comm.snr import noise_sigma
-from ..dtmc.builder import ExplorationResult, build_dtmc
+from ..dtmc.builder import ExplorationResult, build_array_dtmc
 from .trellis import Trellis
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "ViterbiKernel",
     "traceback_flag",
     "full_transition",
+    "error_count_transition",
     "build_full_model",
     "build_error_count_model",
 ]
@@ -55,9 +59,10 @@ ViterbiErrcntState = namedtuple(
 class ViterbiModelConfig:
     """Parameters of the Viterbi case study.
 
-    Defaults are the laptop-scale settings documented in DESIGN.md
-    (the paper runs L=6 with a finer quantizer on a 53M-state model);
-    every experiment exposes these as knobs.
+    Defaults are a laptop-scale setting (L=4, a 5-level quantizer,
+    path metrics saturating at 6) whose full model has about 2,000
+    states; the paper runs L=6 with a finer quantizer on a 53M-state
+    model.  Every experiment exposes these as knobs.
 
     Attributes
     ----------
@@ -121,12 +126,30 @@ class ViterbiModelConfig:
 class ViterbiKernel:
     """The probabilistic function ``Gamma_p`` shared by ``M`` and ``M_R``.
 
-    Maps ``(pm, previous bit)`` to the distribution over
+    Maps ``(pm, previous bits)`` to the distribution over
     ``(new pm, new survivors, new bit, q index)``.  Both the full and
     the reduced model draw from this same kernel — which is why the
     reduction preserves probabilistic behaviour (the paper's Part B).
-    All Gaussian cell probabilities and ACS results are cached; the
-    per-state work during exploration is a table walk.
+    All Gaussian cell probabilities and ACS results are cached;
+    :meth:`branches` serves the per-state reference transitions.
+
+    The array builders read the same kernel as tables, closed at
+    construction so every id below is an exact table index:
+
+    * ``pm_vectors`` — every path-metric vector reachable from
+      :meth:`initial_pm` under ACS, indexed by *pm id* (id 0 is the
+      initial vector); ``survivor_tuples`` — every survivor tuple ACS
+      emits, by *survivor id* (id 0 is the all-zero cold-start tuple).
+    * ``branch_prob[code, j]`` and ``branch_bit[code, j]`` — probability
+      and new data bit of branch ``j`` when the past bits, newest first,
+      are ``bits`` with ``code = sum(bits[i] << i)``; ``next_pm[pm id,
+      code, j]`` and ``next_survivors[pm id, code, j]`` — the branch's
+      ACS result as ids.  Branch ``j`` is the ``j``-th entry of
+      :meth:`branches`; codes with fewer branches are padded with
+      probability-0 entries.
+    * ``best[pm id]`` — the trellis state of least path metric (lowest
+      index on ties, as in :func:`traceback_flag`); ``survivor[survivor
+      id, trellis state]`` — the predecessor that tuple selects.
     """
 
     def __init__(self, config: ViterbiModelConfig) -> None:
@@ -139,10 +162,8 @@ class ViterbiKernel:
         # q-level distribution for each (new bit, past bits...) tuple
         # (newest past bit first — the paper's m=1 case keys on
         # (x[n], x[n-1])).
-        import itertools as _itertools
-
         self._q_dist: Dict[Tuple[int, ...], List[Tuple[float, int]]] = {}
-        for bits in _itertools.product((0, 1), repeat=memory + 1):
+        for bits in itertools.product((0, 1), repeat=memory + 1):
             mean = self.transmitter.output(list(bits))
             probabilities = self.quantizer.cell_probabilities(mean, sigma)
             self._q_dist[bits] = [
@@ -151,6 +172,59 @@ class ViterbiKernel:
                 if p > 0.0
             ]
         self._acs_cache: Dict[Tuple[Tuple[int, ...], int], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self._close_tables()
+
+    def _close_tables(self) -> None:
+        memory = self.config.memory
+        num_states = self.trellis.num_states
+        per_code = [
+            self.branches(self.initial_pm(), [(code >> i) & 1 for i in range(memory)])
+            for code in range(1 << memory)
+        ]
+        width = max(len(branches) for branches in per_code)
+        self.branch_prob = np.zeros((len(per_code), width))
+        self.branch_bit = np.zeros((len(per_code), width), dtype=np.int64)
+        q_of = np.zeros((len(per_code), width), dtype=np.int64)
+        for code, branches in enumerate(per_code):
+            for j, (probability, (_pm, _surv, x_new, q_index)) in enumerate(branches):
+                self.branch_prob[code, j] = probability
+                self.branch_bit[code, j] = x_new
+                q_of[code, j] = q_index
+        levels = sorted({q for _p, (_pm, _s, _x, q) in itertools.chain(*per_code)})
+
+        def intern(table, index, value) -> int:
+            slot = index.get(value)
+            if slot is None:
+                slot = index[value] = len(table)
+                table.append(value)
+            return slot
+
+        self.pm_vectors: List[Tuple[int, ...]] = []
+        self.survivor_tuples: List[Tuple[int, ...]] = []
+        pm_ids: Dict[Tuple[int, ...], int] = {}
+        survivor_ids: Dict[Tuple[int, ...], int] = {}
+        intern(self.pm_vectors, pm_ids, self.initial_pm())
+        intern(self.survivor_tuples, survivor_ids, (0,) * num_states)
+        acs_pm: List[List[int]] = []
+        acs_survivors: List[List[int]] = []
+        for pm in self.pm_vectors:  # grows while it is walked: a BFS
+            pm_row = [0] * self.quantizer.num_levels
+            survivor_row = [0] * self.quantizer.num_levels
+            for q_index in levels:
+                new_pm, survivors = self.acs(pm, q_index)
+                pm_row[q_index] = intern(self.pm_vectors, pm_ids, new_pm)
+                survivor_row[q_index] = intern(
+                    self.survivor_tuples, survivor_ids, survivors
+                )
+            acs_pm.append(pm_row)
+            acs_survivors.append(survivor_row)
+        self.next_pm = np.array(acs_pm, dtype=np.int64)[:, q_of]
+        self.next_survivors = np.array(acs_survivors, dtype=np.int64)[:, q_of]
+        self.best = np.array(
+            [min(range(num_states), key=lambda s: (pm[s], s)) for pm in self.pm_vectors],
+            dtype=np.int64,
+        )
+        self.survivor = np.array(self.survivor_tuples, dtype=np.int64)
 
     def acs(self, pm: Tuple[int, ...], q_index: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Cached add-compare-select: ``(new pm, survivors)``."""
@@ -183,6 +257,20 @@ class ViterbiKernel:
 
     def initial_pm(self) -> Tuple[int, ...]:
         return self.trellis.initial_metrics()
+
+    def step(self, pm: np.ndarray, code: np.ndarray):
+        """One cycle for ``k`` states at once, from the tables.
+
+        ``pm`` holds pm ids and ``code`` past-bits codes, shape ``(k,)``;
+        returns ``(probability, new pm id, survivor id, new bit)``, each
+        of shape ``(k, B)`` in the branch order of :meth:`branches`.
+        """
+        return (
+            self.branch_prob[code],
+            self.next_pm[pm, code],
+            self.next_survivors[pm, code],
+            self.branch_bit[code],
+        )
 
 
 def traceback_flag(
@@ -217,6 +305,21 @@ def full_transition(kernel: ViterbiKernel) -> Callable:
     return transition
 
 
+def error_count_transition(kernel: ViterbiKernel) -> Callable:
+    """Transition function of the full model with the saturating P3
+    error counter: ``errcnt' = min(errcnt + flag', cap)``."""
+    base = full_transition(kernel)
+    cap = kernel.config.error_count_cap
+
+    def transition(state: ViterbiErrcntState):
+        return [
+            (probability, ViterbiErrcntState(*nxt, min(state.errcnt + nxt.flag, cap)))
+            for probability, nxt in base(state)
+        ]
+
+    return transition
+
+
 def _initial_full_state(kernel: ViterbiKernel) -> ViterbiFullState:
     length = kernel.config.traceback_length
     pm = kernel.initial_pm()
@@ -225,66 +328,153 @@ def _initial_full_state(kernel: ViterbiKernel) -> ViterbiFullState:
     return ViterbiFullState(pm, prev, x, traceback_flag(pm, prev, x))
 
 
+# ----------------------------------------------------------------------
+# Array form of the full model.  A state is the row
+#   [pm id, prev ids (L, newest first), x bits (L, newest first), flag]
+# (+ errcnt for the P3 model); pm and survivor ids index the kernel
+# tables, where id 0 is the cold-start value of each.
+# ----------------------------------------------------------------------
+
+def _full_step(kernel: ViterbiKernel):
+    """Vectorised :func:`full_transition`: shift the registers, gather
+    the kernel tables, and fold the traceback (Eq. 5) as array gathers.
+    Columns past the flag (the error counter) are left to the caller."""
+    length = kernel.config.traceback_length
+    code_weights = 1 << np.arange(kernel.config.memory)
+
+    def step(rows: np.ndarray):
+        prev = rows[:, 1 : 1 + length]
+        x = rows[:, 1 + length : 1 + 2 * length]
+        prob, new_pm, survivors, bit = kernel.step(
+            rows[:, 0], x[:, : code_weights.size] @ code_weights
+        )
+        out = np.empty(prob.shape + rows.shape[1:], dtype=np.int64)
+        out[..., 0] = new_pm
+        out[..., 1] = survivors
+        out[..., 2 : 1 + length] = prev[:, None, :-1]
+        out[..., 1 + length] = bit
+        out[..., 2 + length : 1 + 2 * length] = x[:, None, :-1]
+        state = kernel.best[new_pm]
+        for stage in range(1, length):
+            state = kernel.survivor[out[..., stage], state]
+        out[..., 1 + 2 * length] = (state & 1) != out[..., 2 * length]
+        return prob, out
+
+    return step
+
+
+def count_errors(step, cap: int):
+    """``step`` extended with the saturating P3 error counter in the last
+    column, after the flag: ``errcnt' = min(errcnt + flag', cap)``."""
+
+    def counted(rows: np.ndarray):
+        prob, out = step(rows)
+        out[..., -1] = np.minimum(rows[:, None, -1] + out[..., -2], cap)
+        return prob, out
+
+    return counted
+
+
+def _full_radix(kernel: ViterbiKernel):
+    length = kernel.config.traceback_length
+    return (
+        [len(kernel.pm_vectors)]
+        + [len(kernel.survivor_tuples)] * length
+        + [2] * length
+        + [2]
+    )
+
+
+def decode_rows(state_type, rows: np.ndarray, fields) -> list:
+    """State objects of type ``state_type`` from explored state rows.
+
+    ``fields`` gives, in field order, each field's column slice and a
+    function making the field's value from the list of those columns'
+    ints; each distinct value is made once and shared.
+    """
+    columns = []
+    for block, make in fields:
+        field_rows = rows[:, block]
+        codes = np.ravel_multi_index(field_rows.T, field_rows.max(axis=0) + 1)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        values = np.empty(first.size, dtype=object)
+        for i, combo in enumerate(field_rows[first].tolist()):
+            values[i] = make(combo)
+        columns.append(values[inverse])
+    # tuple.__new__ builds each namedtuple in C, skipping the Python-level
+    # __new__ that would only repack the same fields.
+    return list(map(tuple.__new__, itertools.repeat(state_type), zip(*columns)))
+
+
+def _full_fields(kernel: ViterbiKernel):
+    """Column slices and value makers of ``ViterbiFullState``'s fields."""
+    length = kernel.config.traceback_length
+    survivor_tuples = kernel.survivor_tuples
+    return [
+        (slice(0, 1), lambda ids: kernel.pm_vectors[ids[0]]),
+        (
+            slice(1, 1 + length),
+            lambda ids: tuple([survivor_tuples[i] for i in ids]),
+        ),
+        (slice(1 + length, 1 + 2 * length), tuple),
+        (slice(1 + 2 * length, 2 + 2 * length), lambda bits: bits[0]),
+    ]
+
+
 def build_full_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+    config: Optional[ViterbiModelConfig] = None, *, max_states: Optional[int] = None
 ) -> ExplorationResult:
     """Explore the full Viterbi DTMC ``M``.
 
     The chain carries the label ``flag`` and a matching reward
     structure (the paper's reward model), so P1/P2/P3-style properties
-    check directly.
+    check directly.  States are explored as kernel-table rows
+    (:func:`~repro.dtmc.builder.build_array_dtmc`) and kept as
+    :class:`ViterbiFullState` objects; :func:`full_transition` is the
+    per-state definition the tests compare against.
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
-    return build_dtmc(
-        full_transition(kernel),
-        initial=_initial_full_state(kernel),
-        labels={"flag": lambda s: bool(s.flag)},
-        rewards={"flag": lambda s: float(s.flag)},
-        **builder_kwargs,
+    start = _initial_full_state(kernel)
+    return build_array_dtmc(
+        _full_step(kernel),
+        initial=[0] * (2 * config.traceback_length + 1) + [start.flag],
+        radix=_full_radix(kernel),
+        labels={"flag": lambda rows: rows[:, -1] == 1},
+        rewards={"flag": lambda rows: rows[:, -1].astype(np.float64)},
+        decode=lambda rows: decode_rows(
+            ViterbiFullState, rows, _full_fields(kernel)
+        ),
+        max_states=max_states,
     )
 
 
 def build_error_count_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+    config: Optional[ViterbiModelConfig] = None, *, max_states: Optional[int] = None
 ) -> ExplorationResult:
     """Full model extended with a saturating error counter for P3.
 
     ``errcnt`` accumulates decoded-bit errors up to
     ``config.error_count_cap``; the paper's worst-case property is
     ``P=? [ F<=T errcnt>1 ]``.  This is the larger "P3" model of
-    Table I.
+    Table I; :func:`error_count_transition` is its per-state reference.
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
-    base = full_transition(kernel)
-    cap = config.error_count_cap
-
-    def transition(state: ViterbiErrcntState):
-        inner = ViterbiFullState(state.pm, state.prev, state.x, state.flag)
-        return [
-            (
-                probability,
-                ViterbiErrcntState(
-                    nxt.pm,
-                    nxt.prev,
-                    nxt.x,
-                    nxt.flag,
-                    min(state.errcnt + nxt.flag, cap),
-                ),
-            )
-            for probability, nxt in base(inner)
-        ]
-
     start = _initial_full_state(kernel)
-    initial = ViterbiErrcntState(start.pm, start.prev, start.x, start.flag, 0)
-    return build_dtmc(
-        transition,
-        initial=initial,
+    return build_array_dtmc(
+        count_errors(_full_step(kernel), config.error_count_cap),
+        initial=[0] * (2 * config.traceback_length + 1) + [start.flag, 0],
+        radix=_full_radix(kernel) + [config.error_count_cap + 1],
         labels={
-            "flag": lambda s: bool(s.flag),
-            "overflow": lambda s: s.errcnt > 1,
+            "flag": lambda rows: rows[:, -2] == 1,
+            "overflow": lambda rows: rows[:, -1] > 1,
         },
-        rewards={"flag": lambda s: float(s.flag)},
-        **builder_kwargs,
+        rewards={"flag": lambda rows: rows[:, -2].astype(np.float64)},
+        decode=lambda rows: decode_rows(
+            ViterbiErrcntState,
+            rows,
+            _full_fields(kernel) + [(slice(-1, None), lambda n: n[0])],
+        ),
+        max_states=max_states,
     )

@@ -25,11 +25,15 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Optional, Tuple
 
-from ..dtmc.builder import ExplorationResult, build_dtmc
+import numpy as np
+
+from ..dtmc.builder import ExplorationResult, build_array_dtmc
 from .dtmc_model import (
     ViterbiFullState,
     ViterbiKernel,
     ViterbiModelConfig,
+    count_errors,
+    decode_rows,
 )
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "ViterbiReducedErrcntState",
     "reduced_flag",
     "reduced_transition",
+    "reduced_error_count_transition",
     "build_reduced_model",
     "build_reduced_error_count_model",
     "abstraction_function",
@@ -75,6 +80,14 @@ def _cw_bits(
     return c, w
 
 
+def _require_memory_1(kernel: ViterbiKernel) -> None:
+    if kernel.config.memory != 1:
+        raise ValueError(
+            "the c/w reduction is defined for the paper's memory-1"
+            f" channel; got memory {kernel.config.memory}"
+        )
+
+
 def reduced_transition(kernel: ViterbiKernel) -> Callable:
     """Transition function of ``M_R`` (Eqs. 7-9).
 
@@ -85,11 +98,7 @@ def reduced_transition(kernel: ViterbiKernel) -> Callable:
     memory-m channels (2^m trellis states) are supported by the full
     model only.
     """
-    if kernel.config.memory != 1:
-        raise ValueError(
-            "the c/w reduction is defined for the paper's memory-1"
-            f" channel; got memory {kernel.config.memory}"
-        )
+    _require_memory_1(kernel)
 
     def transition(state: ViterbiReducedState):
         branches = []
@@ -111,6 +120,24 @@ def reduced_transition(kernel: ViterbiKernel) -> Callable:
     return transition
 
 
+def reduced_error_count_transition(kernel: ViterbiKernel) -> Callable:
+    """Transition function of ``M_R`` with the saturating P3 error
+    counter: ``errcnt' = min(errcnt + flag', cap)``."""
+    base = reduced_transition(kernel)
+    cap = kernel.config.error_count_cap
+
+    def transition(state: ViterbiReducedErrcntState):
+        return [
+            (
+                probability,
+                ViterbiReducedErrcntState(*nxt, min(state.errcnt + nxt.flag, cap)),
+            )
+            for probability, nxt in base(state)
+        ]
+
+    return transition
+
+
 def _initial_reduced_state(kernel: ViterbiKernel) -> ViterbiReducedState:
     length = kernel.config.traceback_length
     pm = kernel.initial_pm()
@@ -123,29 +150,90 @@ def _initial_reduced_state(kernel: ViterbiKernel) -> ViterbiReducedState:
     return ViterbiReducedState(pm, x0, c, w, reduced_flag(pm, x0, c, w))
 
 
+# ----------------------------------------------------------------------
+# Array form.  A state is the row
+#   [pm id, x0, c (L-1, newest first), w (L-1, newest first), flag]
+# (+ errcnt for the P3 model), pm ids indexing the kernel tables.
+# ----------------------------------------------------------------------
+
+def _reduced_step(kernel: ViterbiKernel):
+    """Vectorised :func:`reduced_transition`; the correctness recurrence
+    of Eq. 9 becomes an ``np.where`` fold.  Columns past the flag (the
+    error counter) are left to the caller."""
+    _require_memory_1(kernel)
+    stages = kernel.config.traceback_length - 1
+
+    def step(rows: np.ndarray):
+        x0 = rows[:, 1]
+        c = rows[:, 2 : 2 + stages]
+        w = rows[:, 2 + stages : 2 + 2 * stages]
+        prob, new_pm, survivors, bit = kernel.step(rows[:, 0], x0)
+        out = np.empty(prob.shape + rows.shape[1:], dtype=np.int64)
+        out[..., 0] = new_pm
+        out[..., 1] = bit
+        out[..., 2] = kernel.survivor[survivors, bit] == x0[:, None]
+        out[..., 3 : 2 + stages] = c[:, None, :-1]
+        out[..., 2 + stages] = kernel.survivor[survivors, 1 - bit] == x0[:, None]
+        out[..., 3 + stages : 2 + 2 * stages] = w[:, None, :-1]
+        correct = kernel.best[new_pm] == bit
+        for i in range(stages):
+            correct = np.where(correct, out[..., 2 + i], out[..., 2 + stages + i]) == 1
+        out[..., 2 + 2 * stages] = ~correct
+        return prob, out
+
+    return step
+
+
+def _reduced_radix(kernel: ViterbiKernel):
+    return [len(kernel.pm_vectors), 2] + [2] * (2 * kernel.config.traceback_length - 2) + [2]
+
+
+def _reduced_fields(kernel: ViterbiKernel):
+    """Column slices and value makers of ``ViterbiReducedState``'s fields."""
+    stages = kernel.config.traceback_length - 1
+    return [
+        (slice(0, 1), lambda ids: kernel.pm_vectors[ids[0]]),
+        (slice(1, 2), lambda bits: bits[0]),
+        (slice(2, 2 + stages), tuple),
+        (slice(2 + stages, 2 + 2 * stages), tuple),
+        (slice(2 + 2 * stages, 3 + 2 * stages), lambda bits: bits[0]),
+    ]
+
+
+def _initial_reduced_row(kernel: ViterbiKernel):
+    start = _initial_reduced_state(kernel)
+    return [0, start.x0, *start.c, *start.w, start.flag]
+
+
 def build_reduced_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+    config: Optional[ViterbiModelConfig] = None, *, max_states: Optional[int] = None
 ) -> ExplorationResult:
     """Explore the reduced Viterbi DTMC ``M_R``.
 
     Carries the same ``flag`` label/reward as the full model, so every
     error property checks verbatim on either chain — and must return
     the same value, which the integration tests assert via
-    :func:`repro.core.reductions.are_bisimilar`.
+    :func:`repro.core.reductions.are_bisimilar`.  Explored as
+    kernel-table rows; :func:`reduced_transition` is the per-state
+    reference.
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
-    return build_dtmc(
-        reduced_transition(kernel),
-        initial=_initial_reduced_state(kernel),
-        labels={"flag": lambda s: bool(s.flag)},
-        rewards={"flag": lambda s: float(s.flag)},
-        **builder_kwargs,
+    return build_array_dtmc(
+        _reduced_step(kernel),
+        initial=_initial_reduced_row(kernel),
+        radix=_reduced_radix(kernel),
+        labels={"flag": lambda rows: rows[:, -1] == 1},
+        rewards={"flag": lambda rows: rows[:, -1].astype(np.float64)},
+        decode=lambda rows: decode_rows(
+            ViterbiReducedState, rows, _reduced_fields(kernel)
+        ),
+        max_states=max_states,
     )
 
 
 def build_reduced_error_count_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+    config: Optional[ViterbiModelConfig] = None, *, max_states: Optional[int] = None
 ) -> ExplorationResult:
     """Reduced model extended with the saturating P3 error counter.
 
@@ -153,42 +241,25 @@ def build_reduced_error_count_model(
     is the quotient of the paper's larger P3 model: the worst-case
     property ``P=? [ F<=T errcnt>1 ]`` checks identically here and on
     :func:`repro.viterbi.dtmc_model.build_error_count_model`.
+    :func:`reduced_error_count_transition` is the per-state reference.
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
-    base = reduced_transition(kernel)
-    cap = config.error_count_cap
-
-    def transition(state: ViterbiReducedErrcntState):
-        inner = ViterbiReducedState(state.pm, state.x0, state.c, state.w, state.flag)
-        return [
-            (
-                probability,
-                ViterbiReducedErrcntState(
-                    nxt.pm,
-                    nxt.x0,
-                    nxt.c,
-                    nxt.w,
-                    nxt.flag,
-                    min(state.errcnt + nxt.flag, cap),
-                ),
-            )
-            for probability, nxt in base(inner)
-        ]
-
-    start = _initial_reduced_state(kernel)
-    initial = ViterbiReducedErrcntState(
-        start.pm, start.x0, start.c, start.w, start.flag, 0
-    )
-    return build_dtmc(
-        transition,
-        initial=initial,
+    return build_array_dtmc(
+        count_errors(_reduced_step(kernel), config.error_count_cap),
+        initial=_initial_reduced_row(kernel) + [0],
+        radix=_reduced_radix(kernel) + [config.error_count_cap + 1],
         labels={
-            "flag": lambda s: bool(s.flag),
-            "overflow": lambda s: s.errcnt > 1,
+            "flag": lambda rows: rows[:, -2] == 1,
+            "overflow": lambda rows: rows[:, -1] > 1,
         },
-        rewards={"flag": lambda s: float(s.flag)},
-        **builder_kwargs,
+        rewards={"flag": lambda rows: rows[:, -2].astype(np.float64)},
+        decode=lambda rows: decode_rows(
+            ViterbiReducedErrcntState,
+            rows,
+            _reduced_fields(kernel) + [(slice(-1, None), lambda n: n[0])],
+        ),
+        max_states=max_states,
     )
 
 

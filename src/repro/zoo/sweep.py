@@ -30,25 +30,15 @@ from __future__ import annotations
 import functools
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..engine import EXECUTORS, SmcConfig, SweepResult
+from ..engine import SmcConfig, SweepResult
 from ..engine import grid as engine_grid
 from ..engine import sweep as engine_sweep
 from ..engine import sweep_check
+from ..engine.sweep import validate_executor
 from .pipeline import ScenarioSpec, build
 from .registry import ZooError, get_model, list_models
 
 __all__ = ["sweep", "survey"]
-
-
-def _validate_executor(executor: str) -> None:
-    """Fail fast — a typo'd executor should die here, naming the valid
-    choices, not as a deep ``ValueError`` after grids and stores are
-    already set up."""
-    if executor not in EXECUTORS:
-        raise ZooError(
-            f"unknown executor {executor!r};"
-            f" choose from {', '.join(EXECUTORS)}"
-        )
 
 
 def _build_point(
@@ -153,7 +143,7 @@ def sweep(
     result's ``point`` is the per-point parameter dict.
     """
     fam = get_model(family)  # fail fast on unknown names
-    _validate_executor(executor)
+    validate_executor(executor, ZooError)
     if (axes is None) == (points is None):
         raise ValueError("pass exactly one of axes= or points=")
     if points is None:
@@ -253,7 +243,7 @@ def survey(
     ``retry``/``deadline`` apply per family exactly as in
     :func:`sweep`.
     """
-    _validate_executor(executor)
+    validate_executor(executor, ZooError)
     families = list_models(tag=tag)
     runner = functools.partial(
         _survey_family, backend=backend, smc=smc, store=store,

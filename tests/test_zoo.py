@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro import check, zoo
-from repro.engine import Engine, SmcConfig
+from repro.engine import EXECUTORS, Engine, SmcConfig
+from repro.store import ResultStore
 from repro.zoo import (
     BuiltScenario,
     FamilyBuild,
@@ -317,6 +318,23 @@ class TestZooSweep:
     def test_unknown_family_fails_fast(self):
         with pytest.raises(UnknownFamilyError):
             zoo.sweep("nope", {"x": [1]})
+
+    def test_unknown_executor_fails_before_the_store(self, tmp_path):
+        """The engine's executor check runs first: the message names
+        every executor and no row reaches the store."""
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            calls = [
+                lambda: zoo.sweep(
+                    "birth-death", {"n": [8]}, executor="bogus", store=store
+                ),
+                lambda: zoo.survey(executor="bogus", store=store),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                for name in EXECUTORS:
+                    assert name in str(exc.value)
+            assert len(store) == 0
 
     def test_survey_whole_zoo(self):
         results = zoo.survey(executor="serial")
