@@ -12,7 +12,9 @@ Tracks the claims of the sparse-algebra rewrite of
   strong-lumpability + constancy checks, all vectorized);
 * the headline scale: a 10^5-state scenario through the full zoo
   lumping fallback (build + refine + verified quotient), asserted to
-  finish in single-digit seconds.
+  finish in single-digit seconds;
+* a deep chain: a 20,000-state ``birth-death`` chain, which lumps to
+  itself and, through the hop-distance seed, with no refinement round.
 
 Both strategies are asserted to produce *identical* partitions, and the
 vectorized partitions identical to the pure-Python reference — the
@@ -40,6 +42,10 @@ BASELINE_BLOCKS = 500
 #: transitions), reduced through the zoo's lumping fallback.
 SCALE_PARAMS = {"n": 100_000, "num_blocks": 5000, "degree": 3, "seed": 7}
 SCALE_BLOCKS = 5000
+
+#: Deep-chain workload: a path-like chain one hop longer per state, so
+#: a round-synchronous refiner would need n - 1 rounds without the seed.
+DEEP_PARAMS = {"n": 20_000}
 
 #: Wall-clock of each lumping flavour, recorded by the benchmarks below
 #: and asserted against the >= 20x bar at the end of the module.
@@ -183,3 +189,19 @@ def test_bench_zoo_lumping_fallback_1e5(benchmark):
     benchmark.extra_info["refine_rounds"] = scenario.extra["refine_rounds"]
     benchmark.extra_info["refine_splitters"] = scenario.extra["refine_splitters"]
     assert elapsed < 10.0, f"10^5-state lumping fallback took {elapsed:.1f}s"
+
+
+def test_bench_lump_birth_death_deep(benchmark):
+    """Lumping fallback of a 20,000-state birth-death chain.
+
+    Nothing lumps, and the hop-distance seed already separates every
+    state, so the refinement loop must not run at all.
+    """
+    scenario = benchmark.pedantic(
+        lambda: zoo.build("birth-death", DEEP_PARAMS), rounds=1, iterations=1
+    )
+    assert scenario.reduction == "lumping"
+    assert scenario.full_states == scenario.reduced_states == DEEP_PARAMS["n"]
+    assert scenario.extra["refine_rounds"] == 0
+    benchmark.extra_info["reduce_seconds"] = scenario.reduce_seconds
+    benchmark.extra_info["refine_seed_blocks"] = scenario.extra["refine_seed_blocks"]

@@ -85,8 +85,19 @@ class QuotientResult:
         return self.block_of.shape[0] / max(1, len(self.blocks))
 
 
+def _block_indicator(column_of: np.ndarray, num_columns: int) -> sparse.csr_matrix:
+    """CSR 0/1 matrix with row ``i`` holding a one in column ``column_of[i]``
+    (empty where negative), assembled straight from CSR arrays."""
+    kept = column_of >= 0
+    indptr = np.concatenate([[0], np.cumsum(kept)])
+    columns = column_of[kept]
+    return sparse.csr_matrix(
+        (np.ones(columns.size), columns, indptr), shape=(column_of.size, num_columns)
+    )
+
+
 def _aggregate_into_blocks(
-    matrix: sparse.spmatrix, block_of: np.ndarray, num_blocks: int
+    matrix: sparse.csr_matrix, block_of: np.ndarray, num_blocks: int
 ) -> sparse.csr_matrix:
     """``P @ B``: row ``s`` holds the probability of ``s`` into each block.
 
@@ -94,12 +105,7 @@ def _aggregate_into_blocks(
     block representatives only); ``block_of`` always covers the full
     column space.
     """
-    n = block_of.shape[0]
-    indicator = sparse.csr_matrix(
-        (np.ones(n), (np.arange(n), block_of)), shape=(n, num_blocks)
-    )
-    aggregated = (matrix @ indicator).tocsr()
-    aggregated.sum_duplicates()
+    aggregated = matrix @ _block_indicator(block_of, num_blocks)
     aggregated.sort_indices()
     return aggregated
 

@@ -5,43 +5,43 @@ respects its labels and rewards — the algorithm of Derisavi, Hermanns &
 Sanders ("Optimal state-space lumping in Markov chains", IPL 2003),
 which the paper cites as reference [17] to justify its reductions.
 
-The refinement loop:
+The refinement loop starts from the partition induced by each state's
+(label, reward) signature, refined by the hop-distance *seed* below;
+each round splits every block whose members' probability masses into
+the current blocks disagree, until a round splits nothing.  The result
+is the unique coarsest probabilistic bisimulation (Larsen & Skou)
+respecting the labeling, so quotienting by it is sound.  Masses are
+compared after rounding to ``decimals`` digits.
 
-1. start from the partition induced by the (label, reward) signature of
-   each state;
-2. compute each state's probability mass into the blocks of the current
-   partition and split every block whose members disagree;
-3. stop when no block refines anything.
+One sparse kernel runs every round: one product ``P @ B`` with the CSR
+indicator ``B`` of the round's *dirty* blocks (states outside them get
+empty rows), rounded, each row hashed into two 64-bit SplitMix
+fingerprints of its ``(column, rounded value)`` entries in any order,
+leaving out entries that round to zero.  States regroup by ``(block,
+live entries, h1, h2)``.  The strategies differ only in which blocks
+are dirty — ``"rounds"``: all of them, every round; ``"splitters"``
+(default): the children of blocks that just split, Derisavi's
+worklist, batched (an unsplit block is stable with respect to every
+clean block).  Both return the same canonically-numbered partition.
 
-The result is the unique coarsest probabilistic bisimulation (Larsen &
-Skou) respecting the labeling; quotienting by it is always sound.
-Probabilities are compared after rounding to ``decimals`` digits,
-making the refinement robust to floating-point noise.
+**Seed.**  A round-synchronous refiner needs a round per hop on a
+path-like chain (``n - 1`` for a birth-death chain that lumps to
+itself), so before the first round each state is also told apart by
+its :func:`~repro.dtmc.graph.hops_to` distance to each respected label;
+if that leaves only singletons, no round runs.  Guard: every stored
+probability is at least ``10**-decimals``.  Then a state's rounded mass
+into a block is nonzero exactly when it has an edge into the block, so
+states the refinement keeps together have edges into the same blocks;
+each respected label is a union of blocks, so by induction on ``k``
+both are within ``k`` hops of the label or neither is.  The seed thus
+never separates states the unseeded loop keeps together.  Chains that
+fail the guard (every Viterbi chain does) get no seed, as
+``RefinementStats.seed_blocks`` records.
 
-Everything here is sparse-matrix algebra, not per-state Python: a
-refinement step is one sparse product ``P @ B`` (``B`` the CSR
-block-indicator matrix of the current partition) whose rows, rounded to
-``decimals``, *are* the state signatures; states are then regrouped by
-``(old block, signature row)`` with an ``np.unique`` over per-row
-fingerprints.  Two refinement strategies share that kernel:
-
-``strategy="rounds"``
-    Every round recomputes signatures against *all* current blocks —
-    the straightforward global fixpoint; ``O(nnz)`` work per round.
-``strategy="splitters"`` (default)
-    Derisavi-style splitter queue: signatures are recomputed only into
-    *recently split* blocks, so late rounds touch a shrinking column
-    subset of ``P`` — the classic worklist refinement, batched.
-
-Both strategies reach the same (unique) coarsest partition and return
-identical, canonically-numbered ``block_of`` arrays.
-
-Signature rows are grouped by 128-bit content fingerprints (two
-independent 64-bit mixes over the CSR ``(column, value)`` entries plus
-the row's nnz).  A fingerprint collision — probability ``~ n^2 / 2^128``
-— could merge two distinguishable states; the strong-lumpability
-verification in :func:`~repro.core.reductions.abstraction.quotient_by_partition`
-(kept on by :func:`lump`) would reject such a partition loudly.
+A fingerprint collision — probability ``~ n^2 / 2^128`` — could merge
+two distinguishable states; the strong-lumpability verification in
+:func:`~repro.core.reductions.abstraction.quotient_by_partition` (kept
+on by :func:`lump`) would reject such a partition loudly.
 
 The pre-vectorization pure-Python implementation is retained as
 :func:`_coarsest_lumping_reference` for golden-parity tests and as the
@@ -58,7 +58,8 @@ import numpy as np
 from scipy import sparse
 
 from ...dtmc.chain import DTMC
-from .abstraction import QuotientResult, quotient_by_partition
+from ...dtmc.graph import hops_to
+from .abstraction import QuotientResult, _block_indicator, quotient_by_partition
 
 __all__ = [
     "RefinementStats",
@@ -80,6 +81,9 @@ class RefinementStats:
     ``rounds`` counts refinement iterations (signature passes);
     ``splitters`` counts the splitter blocks processed across all
     iterations (in ``"rounds"`` mode: every block, every round).
+    ``initial_blocks`` counts the (label, reward) partition's blocks and
+    ``seed_blocks`` the hop-distance seed's, or is ``None`` when no seed
+    applied.
     """
 
     strategy: str
@@ -87,6 +91,7 @@ class RefinementStats:
     splitters: int
     initial_blocks: int
     final_blocks: int
+    seed_blocks: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -125,21 +130,6 @@ def _group_by_keys(keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return group_of, representatives
 
 
-def _round_signature(sig: sparse.spmatrix, decimals: int) -> sparse.csr_matrix:
-    """Canonicalize a signature matrix: CSR, sorted, rounded, no zeros.
-
-    Adding ``0.0`` after rounding normalizes ``-0.0`` so equal values
-    always share a bit pattern, and entries that round to zero are
-    dropped entirely — "no measurable mass into that block".
-    """
-    sig = sig.tocsr()
-    sig.sum_duplicates()
-    sig.sort_indices()
-    sig.data = np.round(sig.data, decimals) + 0.0
-    sig.eliminate_zeros()
-    return sig
-
-
 _HASH_SALTS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
 _HASH_MULT1 = np.uint64(0xFF51AFD7ED558CCD)
 _HASH_MULT2 = np.uint64(0xC4CEB9FE1A85EC53)
@@ -155,49 +145,33 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _SHIFT33)
 
 
-def _row_fingerprints(sig: sparse.csr_matrix) -> List[np.ndarray]:
-    """Two independent 64-bit content fingerprints per CSR row.
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums of CSR-aligned ``values`` (cumsum differences, so
+    empty rows sum to 0 and uint64 sums wrap mod 2^64)."""
+    cumulative = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=cumulative[1:])
+    return cumulative[indptr[1:]] - cumulative[indptr[:-1]]
 
-    Each entry ``(column, value)`` is mixed into a uint64 and the row
-    fingerprint is the segment sum (mod 2^64, via cumsum differences —
-    ``O(nnz)``, no per-row Python).
-    """
-    indptr = sig.indptr
-    bits = np.ascontiguousarray(sig.data, dtype=np.float64).view(np.uint64)
+
+def _split_round(
+    matrix: sparse.csr_matrix, block_of: np.ndarray, dirty: np.ndarray, decimals: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split every block by its members' rounded mass into each ``dirty``
+    block: ``(new_block_of, parent block of each new block)``."""
+    compact = np.cumsum(dirty) - 1
+    column_of = np.where(dirty, compact, -1)[block_of]
+    sig = matrix @ _block_indicator(column_of, int(compact[-1]) + 1)
+    value = np.round(sig.data, decimals) + 0.0  # + 0.0 folds -0.0 into 0.0
+    live = value != 0.0
+    bits = value.view(np.uint64)
     cols = sig.indices.astype(np.uint64)
-    fingerprints = []
+    keys = [block_of, _row_sums(live.astype(np.int64), sig.indptr)]
     for salt in _HASH_SALTS:
         entry = _mix64(bits ^ _mix64(cols + salt))
-        cumulative = np.zeros(entry.size + 1, dtype=np.uint64)
-        np.cumsum(entry, out=cumulative[1:])
-        fingerprints.append(
-            (cumulative[indptr[1:]] - cumulative[indptr[:-1]]).view(np.int64)
-        )
-    return fingerprints
-
-
-def _split_by_signature(
-    block_of: np.ndarray, sig: sparse.csr_matrix
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split each block by its members' signature rows.
-
-    Returns ``(new_block_of, parent_of)``: canonically-renumbered new
-    block ids keyed on ``(old block, signature row)``, plus each new
-    block's parent in the old partition.
-    """
-    if block_of.size == 0:
-        return block_of, block_of
-    h1, h2 = _row_fingerprints(sig)
-    nnz = np.diff(sig.indptr).astype(np.int64)
-    new_block_of, representatives = _group_by_keys([block_of, nnz, h1, h2])
+        entry[~live] = 0
+        keys.append(_row_sums(entry, sig.indptr).view(np.int64))
+    new_block_of, representatives = _group_by_keys(keys)
     return new_block_of, block_of[representatives]
-
-
-def _indicator(block_of: np.ndarray, num_blocks: int) -> sparse.csr_matrix:
-    n = block_of.shape[0]
-    return sparse.csr_matrix(
-        (np.ones(n), (np.arange(n), block_of)), shape=(n, num_blocks)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -247,86 +221,47 @@ def initial_partition(
 # Refinement strategies
 # ----------------------------------------------------------------------
 
-def _refine_rounds(
+def _refine(
     matrix: sparse.csr_matrix,
     block_of: np.ndarray,
     decimals: int,
     max_rounds: Optional[int],
+    strategy: str,
 ) -> Tuple[np.ndarray, int, int]:
-    """Global fixpoint: signatures against *all* blocks, every round."""
-    rounds = 0
-    splitters = 0
+    """Split round by round until a round splits nothing; returns
+    ``(block_of, rounds, splitters)``."""
+    num_blocks = int(block_of.max()) + 1
+    dirty = np.ones(num_blocks, dtype=bool)
+    rounds = splitters = 0
     while True:
         rounds += 1
         if max_rounds is not None and rounds > max_rounds:
             raise RuntimeError("partition refinement exceeded max_rounds")
-        num_blocks = int(block_of.max()) + 1
-        splitters += num_blocks
-        sig = _round_signature(matrix @ _indicator(block_of, num_blocks), decimals)
-        new_block_of, _ = _split_by_signature(block_of, sig)
-        if int(new_block_of.max()) + 1 == num_blocks:
+        splitters += int(np.count_nonzero(dirty))
+        new_block_of, parent_of = _split_round(matrix, block_of, dirty, decimals)
+        if parent_of.size == num_blocks:
             return block_of, rounds, splitters
-        block_of = new_block_of
-
-
-def _refine_splitters(
-    matrix: sparse.csr_matrix,
-    block_of: np.ndarray,
-    decimals: int,
-    max_rounds: Optional[int],
-) -> Tuple[np.ndarray, int, int]:
-    """Derisavi-style worklist: signatures only into recently split blocks.
-
-    All blocks start dirty.  Each iteration batch-processes the whole
-    dirty set ``C``: signatures are the columns of ``P`` restricted to
-    the member states of ``C`` (a CSC column slice), aggregated per
-    splitter block, and blocks are split on ``(old block, signature)``.
-    Children of any block that split become dirty; unsplit blocks are
-    stable with respect to every clean block, so the loop ends exactly
-    when the partition is strongly lumpable.
-    """
-    csc: Optional[sparse.csc_matrix] = None
-    num_blocks = int(block_of.max()) + 1
-    dirty = np.ones(num_blocks, dtype=bool)
-    rounds = 0
-    splitters = 0
-    while dirty.any():
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            raise RuntimeError("partition refinement exceeded max_rounds")
-        splitter_ids = np.flatnonzero(dirty)
-        splitters += splitter_ids.size
-        if splitter_ids.size == num_blocks:
-            # Everything is dirty (always the first round): the column
-            # restriction is the identity, so use the cheaper full product.
-            sig = matrix @ _indicator(block_of, num_blocks)
+        if strategy == "rounds":
+            dirty = np.ones(parent_of.size, dtype=bool)
         else:
-            if csc is None:
-                csc = matrix.tocsc()
-            members = np.flatnonzero(dirty[block_of])
-            compact = np.full(num_blocks, -1, dtype=np.int64)
-            compact[splitter_ids] = np.arange(splitter_ids.size)
-            sub_indicator = sparse.csr_matrix(
-                (
-                    np.ones(members.size),
-                    (np.arange(members.size), compact[block_of[members]]),
-                ),
-                shape=(members.size, splitter_ids.size),
-            )
-            sig = csc[:, members] @ sub_indicator
-        new_block_of, parent_of = _split_by_signature(
-            block_of, _round_signature(sig, decimals)
-        )
-        new_num_blocks = int(new_block_of.max()) + 1
-        if new_num_blocks == num_blocks:
-            dirty = np.zeros(num_blocks, dtype=bool)
-            continue
-        # A new block is dirty iff its parent split into several pieces.
-        split_parent = np.bincount(parent_of, minlength=num_blocks) > 1
-        dirty = split_parent[parent_of]
+            split_parent = np.bincount(parent_of, minlength=num_blocks) > 1
+            dirty = split_parent[parent_of]
         block_of = new_block_of
-        num_blocks = new_num_blocks
-    return block_of, rounds, splitters
+        num_blocks = parent_of.size
+
+
+def _hop_seed(
+    chain: DTMC, block_of: np.ndarray, respect: Optional[Sequence[str]], decimals: int
+) -> Optional[np.ndarray]:
+    """``block_of`` refined by each state's hop distance to each respected
+    label, or ``None`` when the guard fails or no label is respected."""
+    names = chain.labels if respect is None else respect
+    labels = [chain.labels[name] for name in names if name in chain.labels]
+    data = chain.transition_matrix.data
+    if not labels or np.min(data, initial=np.inf) < 10.0 ** (-decimals):
+        return None
+    hops = [hops_to(chain, np.flatnonzero(label)) for label in labels]
+    return _group_by_keys([block_of, *hops])[0]
 
 
 def coarsest_lumping_with_stats(
@@ -346,16 +281,25 @@ def coarsest_lumping_with_stats(
     if chain.num_states == 0:
         return block_of, RefinementStats(strategy, 0, 0, 0, 0)
     initial_blocks = int(block_of.max()) + 1
-    refine = _refine_rounds if strategy == "rounds" else _refine_splitters
-    block_of, rounds, splitters = refine(
-        chain.transition_matrix, block_of, decimals, max_rounds
-    )
+    seeded = _hop_seed(chain, block_of, respect, decimals)
+    seed_blocks = None if seeded is None else int(seeded.max()) + 1
+    if seed_blocks == chain.num_states:
+        block_of, rounds, splitters = seeded, 0, 0
+    else:
+        block_of, rounds, splitters = _refine(
+            chain.transition_matrix,
+            block_of if seeded is None else seeded,
+            decimals,
+            max_rounds,
+            strategy,
+        )
     return block_of, RefinementStats(
         strategy=strategy,
         rounds=rounds,
         splitters=splitters,
         initial_blocks=initial_blocks,
         final_blocks=int(block_of.max()) + 1,
+        seed_blocks=seed_blocks,
     )
 
 

@@ -32,6 +32,7 @@ from .chain import DTMC
 __all__ = [
     "reachable_states",
     "reachability_iterations",
+    "hops_to",
     "strongly_connected_components",
     "bottom_sccs",
     "is_irreducible",
@@ -110,6 +111,20 @@ def reachability_iterations(
         chain.transition_matrix, unweighted=True, indices=starts, min_only=True
     )
     return int(levels[np.isfinite(levels)].max())
+
+
+def hops_to(chain: DTMC, targets: Iterable[int]) -> np.ndarray:
+    """Fewest transitions from each state to any of ``targets`` (-1 if
+    none is reachable): the backward twin of
+    :func:`reachability_iterations`, one search over reversed edges."""
+    hops = np.full(chain.num_states, -1, dtype=np.int64)
+    starts = _indices(targets)
+    if starts.size:
+        levels = csgraph.dijkstra(
+            chain.transition_matrix.T, unweighted=True, indices=starts, min_only=True
+        )
+        hops[np.isfinite(levels)] = levels[np.isfinite(levels)]
+    return hops
 
 
 def backward_reachable(chain: DTMC, targets: Iterable[int]) -> Set[int]:

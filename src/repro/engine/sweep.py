@@ -216,53 +216,25 @@ def _abbreviate_traceback(exc: BaseException, limit: int = 3) -> str:
     return "".join(frames + [f"{type(exc).__name__}: {exc}"]).rstrip()
 
 
-def _call_with_deadline(
-    fn: Callable[[Any], Any], point: Any, deadline: Optional[DeadlinePolicy]
-) -> Any:
-    """Run ``fn(point)``, bounded by a watchdog when a deadline is set.
-
-    The point runs in a daemon helper thread; when the deadline passes
-    the helper is *abandoned* (Python threads cannot be killed) and
-    :class:`DeadlineExceeded` is raised in the caller — the watchdog
-    half of the deadline contract (the process executor uses pool
-    timeouts instead, see :func:`_process_sweep`).
-    """
-    if deadline is None:
-        return fn(point)
-    outcome: Dict[str, Any] = {}
-
-    def _target() -> None:
-        try:
-            outcome["value"] = fn(point)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            outcome["error"] = exc
-
-    watchdog = threading.Thread(
-        target=_target, daemon=True, name="sweep-point-watchdog"
-    )
-    watchdog.start()
-    watchdog.join(deadline.timeout)
-    if watchdog.is_alive():
-        raise DeadlineExceeded(
-            f"point exceeded its {deadline.timeout:.6g}s deadline"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-def _run_point(
+def _retried(
     fn: Callable[[Any], Any],
     point: Any,
-    retry: Optional[RetryPolicy] = None,
-    deadline: Optional[DeadlinePolicy] = None,
+    retry: Optional[RetryPolicy],
+    attempt: int = 1,
+    start: Optional[float] = None,
+    pending: Optional[Exception] = None,
 ) -> SweepResult:
-    start = time.perf_counter()
-    attempt = 1
+    """``fn(point)`` with retries.  A lane resuming a point after an
+    abandoned attempt passes that attempt's number, the point's start and
+    the :class:`DeadlineExceeded` it failed with (``pending``)."""
+    start = time.perf_counter() if start is None else start
     while True:
         try:
-            value = _call_with_deadline(fn, point, deadline)
+            if pending is not None:
+                raise pending
+            value = fn(point)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+            pending = None
             if retry is not None and retry.should_retry(exc, attempt):
                 delay = retry.delay(_canonical_point(point), attempt)
                 if delay > 0:
@@ -277,12 +249,121 @@ def _run_point(
                 traceback=_abbreviate_traceback(exc),
                 attempts=attempt,
             )
-        return SweepResult(
-            point=point,
-            value=value,
-            seconds=time.perf_counter() - start,
-            attempts=attempt,
-        )
+        seconds = time.perf_counter() - start
+        return SweepResult(point=point, value=value, seconds=seconds, attempts=attempt)
+
+
+class _Abandoned(BaseException):
+    """Unwinds a lane whose caller has given up on it."""
+
+
+class _Lane:
+    """A daemon thread running ``points[index:]`` through :func:`_retried`
+    into ``results`` while the caller, in :meth:`run`, times each attempt."""
+
+    def __init__(
+        self, fn, points, retry, timeout, results, index=0, attempts=0, start=None,
+        pending=None,
+    ) -> None:
+        self.fn, self.points, self.retry, self.timeout = fn, points, retry, timeout
+        self.results, self.pending = results, pending
+        # The point in flight: its index, attempts so far and start time.
+        self.index, self.attempts = index, attempts
+        self.start = time.perf_counter() if start is None else start
+        self.since: Optional[float] = None  # when the running attempt began
+        self.abandoned, self.error = False, None
+        self.lock, self.finished = threading.Lock(), threading.Event()
+
+    def _attempt(self, point: Any) -> Any:
+        with self.lock:
+            if self.abandoned:
+                raise _Abandoned
+            self.attempts, self.since = self.attempts + 1, time.monotonic()
+        try:
+            return self.fn(point)
+        finally:
+            with self.lock:
+                self.since = None
+
+    def _work(self) -> None:
+        try:
+            while self.index < len(self.points):
+                pending, self.pending = self.pending, None
+                result = _retried(
+                    self._attempt, self.points[self.index], self.retry,
+                    self.attempts + (pending is None), self.start, pending,
+                )
+                with self.lock:
+                    if self.abandoned:
+                        return
+                    self.results.append(result)
+                    self.index, self.attempts = self.index + 1, 0
+                    self.start = time.perf_counter()
+        except _Abandoned:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self.error = exc
+        finally:
+            self.finished.set()
+
+    def run(self) -> Optional["_Lane"]:
+        """Start the lane and sleep until it finishes (``None``) or an
+        attempt outlives the timeout (the fresh lane that resumes, with
+        the attempt failed)."""
+        wait = self.timeout
+        try:
+            threading.Thread(target=self._work, daemon=True, name="sweep-lane").start()
+            while not self.finished.wait(wait):
+                with self.lock:
+                    since = self.since
+                    if since is not None and time.monotonic() - since >= self.timeout:
+                        self.abandoned = True
+                        exc = DeadlineExceeded(
+                            f"point exceeded its {self.timeout:.6g}s deadline"
+                        )
+                        return _Lane(
+                            self.fn, self.points, self.retry, self.timeout, self.results,
+                            self.index, self.attempts, self.start, exc,
+                        )
+                wait = self.timeout - (0 if since is None else time.monotonic() - since)
+        except BaseException:  # Ctrl-C: the lane must stop appending
+            with self.lock:
+                self.abandoned = True
+            raise
+        if self.error is not None:
+            raise self.error
+        return None
+
+
+def _run_points(
+    fn: Callable[[Any], Any],
+    points: Sequence[Any],
+    retry: Optional[RetryPolicy] = None,
+    deadline: Optional[DeadlinePolicy] = None,
+    results: Optional[List[SweepResult]] = None,
+) -> List[SweepResult]:
+    """Run ``points`` in order, appending to ``results``.
+
+    Under a ``deadline`` they run back to back on a :class:`_Lane` (a
+    thread hand-off per point would cost more than a cheap point) while
+    the caller sleeps until the running attempt's deadline.  Past it,
+    the lane is *abandoned* (Python threads cannot be killed), the
+    attempt fails with :class:`DeadlineExceeded`, and a fresh lane
+    resumes — the watchdog half of the deadline contract (the process
+    executor uses pool timeouts instead, see :func:`_process_sweep`).
+    """
+    results = [] if results is None else results
+    if deadline is None:
+        results.extend(_retried(fn, point, retry) for point in points)
+        return results
+    lane: Optional[_Lane] = _Lane(fn, points, retry, deadline.timeout, results)
+    while lane is not None:
+        lane = lane.run()
+    return results
+
+
+def _run_point(fn, point, retry=None, deadline=None) -> SweepResult:
+    return _run_points(fn, [point], retry, deadline)[0]
 
 
 def _run_shard(
@@ -296,7 +377,7 @@ def _run_shard(
     are enforced at the pool level by :func:`_process_sweep`, which is
     the only enforcement that also catches hard (C-level) hangs.
     """
-    return [_run_point(fn, point, retry) for point in shard]
+    return _run_points(fn, shard, retry)
 
 
 def _shard(points: Sequence[Any], workers: int, shard_size: Optional[int]):
@@ -551,8 +632,7 @@ def sweep(
     elif executor == "serial" or len(points) <= 1:
         results = []
         try:
-            for point in points:
-                results.append(_run_point(fn, point, retry, deadline))
+            _run_points(fn, points, retry, deadline, results)
         except KeyboardInterrupt:
             raise SweepInterrupted(results) from None
     elif executor == "process":

@@ -28,10 +28,11 @@ test suite re-verifies mechanically with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..dtmc.builder import ExplorationResult, build_iid_dtmc
 from .detector import QuantizedMLDetector
@@ -94,9 +95,15 @@ def block_values(
     return [(float(h_levels[ih]), float(y_levels[iy])) for ih, iy in blocks]
 
 
-def _flag(config: MimoSystemConfig, state: MimoState) -> bool:
-    detector = QuantizedMLDetector()
-    return detector.is_error(state.x, block_values(config, state.blocks))
+def _flag_of(config: MimoSystemConfig) -> Callable[[MimoState], bool]:
+    """The ``flag`` predicate: levels and detector built once per build,
+    one detection per state."""
+    h_levels = [float(v) for v in config.make_h_quantizer().levels]
+    y_levels = [float(v) for v in config.make_y_quantizer().levels]
+    is_error = QuantizedMLDetector().is_error
+    return functools.lru_cache(maxsize=None)(
+        lambda s: is_error(s.x, [(h_levels[ih], y_levels[iy]) for ih, iy in s.blocks])
+    )
 
 
 def step_distribution_full(config: MimoSystemConfig) -> List[Tuple[float, MimoState]]:
@@ -202,10 +209,11 @@ def build_detector_model(
         [(0, config.num_y_levels // 2)] * config.num_blocks
     )
     initial = MimoState(0, cold_blocks)
+    flag = _flag_of(config)
     return build_iid_dtmc(
         distribution,
         initial=initial,
-        labels={"flag": lambda s: _flag(config, s)},
-        rewards={"flag": lambda s: float(_flag(config, s))},
+        labels={"flag": flag},
+        rewards={"flag": lambda s: float(flag(s))},
         branch_cutoff=branch_cutoff,
     )

@@ -21,10 +21,11 @@ per-bit error, giving the BER.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dtmc.builder import ExplorationResult, build_iid_dtmc
 from .dtmc_model import _multiset_probability
@@ -98,17 +99,6 @@ def _block_distribution_2tx(
     return out
 
 
-def _block_values_2tx(
-    config: MimoSystemConfig, blocks
-) -> List[Tuple[float, float, float]]:
-    h_levels = config.make_h_quantizer().levels
-    y_levels = config.make_y_quantizer().levels
-    return [
-        (float(h_levels[i1]), float(h_levels[i2]), float(y_levels[iy]))
-        for i1, i2, iy in blocks
-    ]
-
-
 def step_distribution_2tx(
     config: MimoSystemConfig, reduced: bool = True
 ) -> List[Tuple[float, Mimo2x2State]]:
@@ -149,11 +139,20 @@ def reduced_state_count_2tx(config: MimoSystemConfig) -> int:
     return 4 * math.comb(b + config.num_blocks - 1, config.num_blocks)
 
 
-def _errors(config: MimoSystemConfig, state: Mimo2x2State) -> Tuple[bool, int]:
-    sent = _CANDIDATES[state.x]
-    detected = detect_pair_from_blocks(_block_values_2tx(config, state.blocks))
-    wrong = sum(int(a != b) for a, b in zip(sent, detected))
-    return wrong > 0, wrong
+def _errors_of(config: MimoSystemConfig) -> Callable[[Mimo2x2State], Tuple[bool, int]]:
+    """``state -> (vector error, errored bits)``: levels built once per
+    build, one detection per state."""
+    h_levels = [float(v) for v in config.make_h_quantizer().levels]
+    y_levels = [float(v) for v in config.make_y_quantizer().levels]
+
+    @functools.lru_cache(maxsize=None)
+    def errors(state: Mimo2x2State) -> Tuple[bool, int]:
+        blocks = [(h_levels[i1], h_levels[i2], y_levels[iy]) for i1, i2, iy in state.blocks]
+        detected = detect_pair_from_blocks(blocks)
+        wrong = sum(int(a != b) for a, b in zip(_CANDIDATES[state.x], detected))
+        return wrong > 0, wrong
+
+    return errors
 
 
 def build_detector_model_2tx(
@@ -173,13 +172,14 @@ def build_detector_model_2tx(
         [(0, 0, config.num_y_levels // 2)] * config.num_blocks
     )
     initial = Mimo2x2State(0, cold_blocks)
+    errors = _errors_of(config)
     return build_iid_dtmc(
         distribution,
         initial=initial,
-        labels={"flag": lambda s: _errors(config, s)[0]},
+        labels={"flag": lambda s: errors(s)[0]},
         rewards={
-            "flag": lambda s: float(_errors(config, s)[0]),
-            "biterr": lambda s: _errors(config, s)[1] / 2.0,
+            "flag": lambda s: float(errors(s)[0]),
+            "biterr": lambda s: errors(s)[1] / 2.0,
         },
         branch_cutoff=branch_cutoff,
     )

@@ -382,26 +382,41 @@ class ResultStore:
             conn = sqlite3.connect(
                 self.path, timeout=self.timeout, check_same_thread=False
             )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            # v1 -> v2 migration: older files lack the salt column the
-            # history queries group by.  Backfilled rows keep '' — their
-            # keys were hashed under a v1 default salt anyway, so they
-            # are history-visible but never served as warm hits.
-            columns = {
-                row[1] for row in conn.execute("PRAGMA table_info(results)")
-            }
-            if "salt" not in columns:
-                conn.execute(
-                    "ALTER TABLE results ADD COLUMN salt TEXT NOT NULL DEFAULT ''"
-                )
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_results_salt ON results (salt)"
-            )
-            conn.commit()
+            # Processes opening one fresh file together can fail at once
+            # with "database is locked" (the journal-mode switch does not
+            # wait out the busy timeout), so retry until the timeout.
+            deadline, delay = time.monotonic() + self.timeout, 0.001
+            while True:
+                try:
+                    self._prepare(conn)
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        conn.close()
+                        raise
+                    time.sleep(delay)
+                    delay = min(2 * delay, 0.05)
             self._conn = conn
         return self._conn
+
+    @staticmethod
+    def _prepare(conn: sqlite3.Connection) -> None:
+        # WAL persists in the file: switch only a file not yet in it.
+        if conn.execute("PRAGMA journal_mode").fetchone()[0].lower() != "wal":
+            conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.executescript(_SCHEMA)
+        # v1 -> v2 migration: older files lack the salt column the
+        # history queries group by.  Backfilled rows keep '' — their
+        # keys were hashed under a v1 default salt anyway, so they
+        # are history-visible but never served as warm hits.
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(results)")}
+        if "salt" not in columns:
+            conn.execute(
+                "ALTER TABLE results ADD COLUMN salt TEXT NOT NULL DEFAULT ''"
+            )
+        conn.execute("CREATE INDEX IF NOT EXISTS idx_results_salt ON results (salt)")
+        conn.commit()
 
     def close(self) -> None:
         """Close the sqlite connection (reopened lazily on next use)."""

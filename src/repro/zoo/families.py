@@ -416,6 +416,9 @@ def _build_random_sparse(params: Mapping[str, Any]) -> FamilyBuild:
             targets = rng.choice(b, size=degree, replace=False)
             weights = rng.random(degree) + 0.1
             weights /= weights.sum()
+            # Ascending targets emit each row already sorted.
+            order = np.argsort(targets)
+            targets, weights = targets[order], weights[order]
             pattern_cols.append(
                 np.concatenate(
                     [np.arange(starts[t], starts[t + 1]) for t in targets]

@@ -145,7 +145,7 @@ class BuiltScenario:
     #: Free-form provenance; the lumping fallback records its partition
     #: refinement here (``refine_strategy``, ``refine_rounds``,
     #: ``refine_splitters``, ``refine_initial_blocks``,
-    #: ``refine_final_blocks``).
+    #: ``refine_seed_blocks``, ``refine_final_blocks``).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -270,6 +270,7 @@ def build(
                     refine_rounds=stats.rounds,
                     refine_splitters=stats.splitters,
                     refine_initial_blocks=stats.initial_blocks,
+                    refine_seed_blocks=stats.seed_blocks,
                     refine_final_blocks=stats.final_blocks,
                 )
         else:

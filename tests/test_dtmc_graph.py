@@ -1,5 +1,11 @@
 """Unit tests for graph analyses (repro.dtmc.graph)."""
 
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.dtmc import (
     DTMC,
@@ -13,6 +19,8 @@ from repro.dtmc import (
     reachable_states,
     strongly_connected_components,
 )
+
+from repro.dtmc.graph import hops_to
 
 from helpers import gamblers_ruin, knuth_yao_die, two_state_chain
 
@@ -117,3 +125,55 @@ class TestPeriodicity:
 
     def test_absorbing_states_aperiodic(self):
         assert is_aperiodic(gamblers_ruin())
+
+
+@st.composite
+def graphs_with_targets(draw, max_states: int = 10):
+    """A chain over a random edge set (edgeless states self-loop, so
+    some states reach nothing) plus a random, possibly empty, target
+    set."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    successors = [
+        draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3)) or {s}
+        for s in range(n)
+    ]
+    rows = [s for s in range(n) for _ in successors[s]]
+    cols = [t for s in range(n) for t in sorted(successors[s])]
+    weights = [1.0 / len(successors[s]) for s in rows]
+    matrix = sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    targets = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    return DTMC(matrix, 0), successors, targets
+
+
+def python_hops(successors, targets, state):
+    """Forward BFS from ``state`` to the nearest target, -1 if none."""
+    seen, queue = {state}, deque([(state, 0)])
+    while queue:
+        u, depth = queue.popleft()
+        if u in targets:
+            return depth
+        for v in successors[u] - seen:
+            seen.add(v)
+            queue.append((v, depth + 1))
+    return -1
+
+
+class TestHopsTo:
+    @given(graphs_with_targets())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_state_bfs(self, case):
+        chain, successors, targets = case
+        expected = [
+            python_hops(successors, set(targets), s) for s in range(chain.num_states)
+        ]
+        hops = hops_to(chain, targets)
+        assert hops.dtype == np.int64
+        assert hops.tolist() == expected
+
+    def test_line_counts_hops_and_marks_unreachable(self):
+        chain = chain_line(5)
+        assert hops_to(chain, [3]).tolist() == [3, 2, 1, 0, -1]
+        assert hops_to(chain, [0, 4]).tolist() == [0, 3, 2, 1, 0]
+
+    def test_empty_target_set(self):
+        assert hops_to(knuth_yao_die(), []).tolist() == [-1] * 13

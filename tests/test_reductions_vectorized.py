@@ -18,6 +18,7 @@ Covers the sparse-algebra rewrite of ``repro.core.reductions``:
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro import zoo
@@ -354,3 +355,94 @@ class TestProvenance:
     def test_direct_reductions_leave_extra_empty(self):
         scenario = zoo.build("mimo-1xN")
         assert "refine_rounds" not in scenario.extra
+
+
+# ----------------------------------------------------------------------
+# Hop-distance seed
+# ----------------------------------------------------------------------
+
+def path_chain(n, p_up, p_down, ruin):
+    """Birth-death chain (reflecting ends, self-loops) or, with ``ruin``,
+    gambler's ruin (absorbing ends, no self-loops) on ``0..n-1``.
+    Labels: ``goal`` = {n-1}, ``edge`` = {0, n-1}."""
+    up, down = np.full(n, p_up), np.full(n, p_down)
+    up[-1] = down[0] = 0.0
+    if ruin:
+        down = 1.0 - up
+        up[0] = down[0] = down[-1] = 0.0
+    stay = 1.0 - up - down
+    matrix = sparse.diags([down[1:], stay, up[:-1]], [-1, 0, 1], format="csr")
+    matrix.eliminate_zeros()
+    states = np.arange(n)
+    return matrix, {"goal": states == n - 1, "edge": (states == 0) | (states == n - 1)}
+
+
+@st.composite
+def path_chain_parts(draw):
+    n = draw(st.integers(min_value=2, max_value=200))
+    p_up = draw(st.floats(min_value=0.01, max_value=0.45))
+    symmetric = draw(st.booleans())
+    p_down = p_up if symmetric else draw(st.floats(min_value=0.01, max_value=0.45))
+    return path_chain(n, p_up, p_down, ruin=draw(st.booleans()))
+
+
+@st.composite
+def seeded_chains(draw):
+    """One path chain, or the disjoint union of two (sometimes twins,
+    so the union lumps), with the labels to respect."""
+    parts = [draw(path_chain_parts())]
+    if draw(st.booleans()):
+        parts.append(parts[0] if draw(st.booleans()) else draw(path_chain_parts()))
+    matrix = sparse.block_diag([m for m, _ in parts], format="csr")
+    labels = {
+        name: np.concatenate([lab[name] for _, lab in parts]) for name in ("goal", "edge")
+    }
+    respect = draw(st.sampled_from([None, ["goal"], ["edge"]]))
+    return DTMC(matrix, 0, labels=labels), respect
+
+
+class TestHopSeed:
+    @given(seeded_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_seeded_partition_matches_reference(self, case):
+        chain, respect = case
+        reference = _coarsest_lumping_reference(chain, respect=respect)
+        for strategy in STRATEGIES:
+            block_of, stats = coarsest_lumping_with_stats(
+                chain, respect=respect, strategy=strategy
+            )
+            assert np.array_equal(block_of, reference)
+            assert stats.seed_blocks is not None
+            assert stats.initial_blocks <= stats.seed_blocks <= stats.final_blocks
+            if stats.seed_blocks == chain.num_states:
+                assert stats.rounds == stats.splitters == 0
+
+    def test_birth_death_lumps_to_itself_without_rounds(self):
+        scenario = zoo.build("birth-death", {"n": 64})
+        assert scenario.reduced_states == 64
+        assert scenario.extra["refine_seed_blocks"] == 64
+        assert scenario.extra["refine_rounds"] == 0
+
+    @pytest.mark.parametrize("tiny", [1e-11, 1e-14])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sub_rounding_entry_disables_seed(self, tiny, strategy):
+        """State 1 reaches ``end`` in one hop only over a ``tiny`` edge
+        that rounds to zero, so it lumps with state 0 (two hops): a hop
+        seed would wrongly split them."""
+        matrix = sparse.csr_matrix(
+            np.array(
+                [
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0 - tiny, tiny],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                ]
+            )
+        )
+        chain = DTMC(matrix, 0, labels={"end": np.array([0, 0, 0, 1], dtype=bool)})
+        block_of, stats = coarsest_lumping_with_stats(
+            chain, strategy=strategy, decimals=10
+        )
+        assert stats.seed_blocks is None
+        assert block_of[0] == block_of[1]
+        assert np.array_equal(block_of, _coarsest_lumping_reference(chain))

@@ -25,6 +25,7 @@ and machines.
 """
 
 import math
+import sys
 import time
 
 import pytest
@@ -32,7 +33,7 @@ import pytest
 from repro import dtmc_from_dict
 from repro.core import Guarantee
 from repro.engine import sweep, sweep_check
-from repro.engine.sweep import SweepResult, _abbreviate_traceback
+from repro.engine.sweep import SweepInterrupted, SweepResult, _abbreviate_traceback
 from repro.resilience import (
     DeadlineExceeded,
     DeadlinePolicy,
@@ -306,6 +307,55 @@ class TestDeadlines:
         assert results[0].ok  # first attempt hung, second succeeded
         assert results[0].value == 1
         assert results[0].attempts == 2
+
+
+def _interrupt_at_three(x):
+    if x == 3:
+        raise KeyboardInterrupt
+    return x
+
+
+def _sometimes_hangs(point):
+    if point["x"] % 10 == 3:
+        time.sleep(0.5)
+    return point["x"] ** 2
+
+
+class TestDeadlineLanes:
+    """The serial/thread deadline runner hands points to a helper lane
+    and abandons it at an overrun: every point must land exactly once,
+    in order, and an abandoned lane must never append later."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_abandoned_lanes_never_append(self, executor):
+        points = [{"x": i} for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.perf_counter()
+            results = sweep(
+                _sometimes_hangs, points, executor=executor, max_workers=4,
+                deadline=0.1,
+            )
+            assert time.perf_counter() - start < 5.0
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = list(results)
+        time.sleep(0.7)  # every abandoned lane has woken up by now
+        assert results == snapshot
+        assert [r.point for r in results] == points
+        hung = [p["x"] % 10 == 3 for p in points]
+        assert [r.timed_out for r in results] == hung
+        assert [r.value for r in results] == [
+            None if h else p["x"] ** 2 for p, h in zip(points, hung)
+        ]
+        assert all(r.attempts == 1 for r in results)
+
+    def test_interrupt_in_a_lane_carries_partials(self):
+        with pytest.raises(SweepInterrupted) as exc:
+            sweep(_interrupt_at_three, [0, 1, 2, 3, 4], executor="serial", deadline=5.0)
+        time.sleep(0.2)
+        assert [r.value for r in exc.value.partial] == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ Covers the ISSUE-6 acceptance surface:
 """
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -406,6 +407,36 @@ class TestConcurrentWriters:
                 row = store.get({"worker": w, "i": i}, FORMULA)
                 assert row is not None
                 assert row.value == float(w * per_worker + i)
+
+
+def _open_after_barrier(path, barrier):
+    barrier.wait(timeout=30)
+    store = ResultStore(path, salt="fresh")
+    assert len(store) == 0
+    store.close()
+
+
+class TestSimultaneousOpen:
+    """Processes opening one fresh file at the same instant all get a
+    working store: the first open's journal-mode switch and schema
+    creation must not fail the others with "database is locked"."""
+
+    PROCESSES, REPEATS = 8, 20
+
+    def test_processes_open_one_fresh_file_together(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        for repeat in range(self.REPEATS):
+            path = os.fspath(tmp_path / f"fresh-{repeat}.sqlite")
+            barrier = ctx.Barrier(self.PROCESSES)
+            procs = [
+                ctx.Process(target=_open_after_barrier, args=(path, barrier))
+                for _ in range(self.PROCESSES)
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=60)
+            assert [proc.exitcode for proc in procs] == [0] * self.PROCESSES, repeat
 
 
 # ----------------------------------------------------------------------
