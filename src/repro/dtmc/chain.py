@@ -279,15 +279,6 @@ class DTMC:
             states=self.states,
         )
 
-    # ------------------------------------------------------------------
-    # Misc
-    # ------------------------------------------------------------------
-    def state_values(self, index: int) -> Any:
-        """The underlying state object for ``index`` (if kept)."""
-        if self.states is None:
-            raise ValueError("chain was built without state objects")
-        return self.states[index]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DTMC(states={self.num_states}, transitions={self.num_transitions},"

@@ -10,7 +10,7 @@ pays for its linear algebra once.
 
 :mod:`repro.engine.sweep` is the scenario fan-out companion: grids of
 design points (SNR, traceback length, quantizer levels) spread across
-``concurrent.futures`` workers.
+threads, forked worker processes or a networked worker fleet.
 """
 
 from ..resilience import DeadlineExceeded, DeadlinePolicy, RetryPolicy, SweepReport

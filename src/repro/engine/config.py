@@ -90,10 +90,6 @@ class SolverConfig:
                 f"max_iterations must be >= 1, got {self.max_iterations}"
             )
 
-    @property
-    def is_iterative(self) -> bool:
-        return self.method in ITERATIVE_METHODS
-
     def with_method(self, method: str) -> "SolverConfig":
         """Copy of this config with a different backend."""
         return replace(self, method=method)

@@ -18,24 +18,26 @@ most time in scipy, which releases the GIL), ``"process"`` (full
 isolation; the sweep function must be picklable), or ``"serial"``
 (in-process, deterministic, used by the tests and for debugging).
 The process executor is *sharded*: the point grid is chunked into
-contiguous shards (``shard_size`` points each) so worker dispatch and
-pickling are amortized across a shard, and the ordered merge of shard
-results is bit-identical to the serial path — per-point seed streams
-are spawned by grid index, never by worker, so shards are
-embarrassingly mergeable.
+contiguous shards (``shard_size`` points each), and each forked worker
+process holds one shard *lease* at a time, so dispatch and pickling
+are amortized across a shard.  The ordered merge of shard results is
+bit-identical to the serial path — per-point seed streams are spawned
+by grid index, never by worker, so shards are embarrassingly
+mergeable.
 
 Every runner is fault-tolerant (see :mod:`repro.resilience`):
 
 * a :class:`~repro.resilience.RetryPolicy` re-attempts failing points
   with exponential backoff and deterministic per-point jitter;
 * a :class:`~repro.resilience.DeadlinePolicy` bounds each point's
-  wall-clock — watchdog threads on the serial/thread executors,
-  pool-level ``concurrent.futures`` timeouts on the process executor;
-* the process executor survives worker death: on
-  ``BrokenProcessPool`` (or a pool-level deadline overrun) the pool is
-  rebuilt, lost shards are resubmitted one at a time, and a
-  repeatedly-fatal shard is bisected down to the single poisoned
-  point, which is *quarantined* into a :class:`SweepResult` carrying
+  wall-clock — watchdog threads on the serial/thread executors, a
+  per-lease budget on the process executor;
+* the process executor leases shards exactly as the worker fleet of
+  :mod:`repro.service` does: a worker that dies, or whose lease
+  outlives its budget, is killed and only its own lease fails.  One
+  bisection rule, :func:`_fail_lease`, serves both fan-outs: a failed
+  range is halved and requeued until the single poisoned point is
+  left, which is *quarantined* into a :class:`SweepResult` carrying
   its error and attempt count while every surviving point's result
   stays bit-identical to the serial path;
 * failed results carry an abbreviated traceback (``traceback``) and
@@ -58,14 +60,17 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
+import multiprocessing
 import os
+import pickle
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
+from multiprocessing.connection import wait as _wait_ready
 from typing import (
     Any,
     Callable,
@@ -123,8 +128,8 @@ class SweepInterrupted(KeyboardInterrupt):
     """Ctrl-C landed mid-sweep; ``partial`` holds what had finished.
 
     Every runner converts a ``KeyboardInterrupt`` into this after
-    shutting its workers down cleanly (pools terminated, remote jobs
-    cancelled — no orphaned processes), so callers can salvage the
+    shutting its workers down cleanly (process workers stopped, remote
+    jobs cancelled — no orphaned processes), so callers can salvage the
     completed :class:`SweepResult` list: :func:`sweep_check` banks the
     successful partials into its :class:`~repro.store.ResultStore`
     before re-raising, which is what makes a Ctrl-C'd ``--store`` sweep
@@ -159,9 +164,9 @@ class SweepResult:
         row belongs to) — never written by the sweep runner itself.
     attempts:
         How many tries this point consumed: in-worker retries under a
-        :class:`~repro.resilience.RetryPolicy`, or — for points
-        quarantined by process-pool crash recovery — the number of
-        pool waves the point was implicated in before isolation.
+        :class:`~repro.resilience.RetryPolicy`, or — for a point
+        quarantined because its worker died or overran — the number
+        of failed leases that held it.
     traceback:
         Abbreviated traceback (the last few frames) of the failure,
         so a quarantined point is debuggable from a
@@ -350,7 +355,8 @@ def _run_points(
     the lane is *abandoned* (Python threads cannot be killed), the
     attempt fails with :class:`DeadlineExceeded`, and a fresh lane
     resumes — the watchdog half of the deadline contract (the process
-    executor uses pool timeouts instead, see :func:`_process_sweep`).
+    executor kills a worker whose lease overruns instead, see
+    :func:`_process_sweep`).
     """
     results = [] if results is None else results
     if deadline is None:
@@ -371,17 +377,26 @@ def _run_shard(
     shard: Sequence[Any],
     retry: Optional[RetryPolicy] = None,
 ) -> List[SweepResult]:
-    """One process-executor work unit: a contiguous slice of points.
+    """One lease's work unit, on a process or fleet worker: a contiguous
+    slice of points.
 
     Retries run *inside* the worker (cheap, no resubmission); deadlines
-    are enforced at the pool level by :func:`_process_sweep`, which is
-    the only enforcement that also catches hard (C-level) hangs.
+    are enforced from outside by the lease budget (:func:`_process_sweep`
+    kills the worker, the coordinator reaps the lease), the only
+    enforcement that also catches hard (C-level) hangs.
     """
     return _run_points(fn, shard, retry)
 
 
-def _shard(points: Sequence[Any], workers: int, shard_size: Optional[int]):
-    """Chunk ``points`` into contiguous index ranges for the pool.
+def _shard(
+    points: Sequence[Any],
+    workers: int,
+    shard_size: Optional[int],
+    ranges: Optional[Sequence[Tuple[int, int]]] = None,
+) -> List[Tuple[int, int]]:
+    """Chunk ``points`` (or only the index ``ranges`` of them) into
+    contiguous index ranges of ``shard_size`` points: the leases of
+    both fan-outs.
 
     The default shard size targets four shards per worker — large
     enough to amortize pickling and dispatch, small enough that a slow
@@ -394,48 +409,107 @@ def _shard(points: Sequence[Any], workers: int, shard_size: Optional[int]):
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     return [
-        (start, min(start + shard_size, len(points)))
-        for start in range(0, len(points), shard_size)
+        (lo, min(lo + shard_size, stop))
+        for start, stop in (ranges if ranges is not None else [(0, len(points))])
+        for lo in range(start, stop, shard_size)
     ]
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool whose workers may be hung or dead.
+def _fail_lease(
+    pending: List[Tuple[int, int]],
+    strikes: Dict[int, int],
+    start: int,
+    stop: int,
+    quarantine_strikes: int,
+) -> bool:
+    """The bisection rule of both fan-outs, for a lease ``[start, stop)``
+    whose worker died or overran its budget.
 
-    ``shutdown(wait=True)`` would block on a hung worker forever, so
-    pending futures are cancelled and surviving worker processes are
-    terminated outright — the pool is disposable, the next wave builds
-    a fresh one.
+    Every point of the lease takes a strike.  A multi-point range is
+    halved and both halves go to the front of ``pending``; a single
+    point is requeued until its strikes reach ``quarantine_strikes``,
+    and then this returns ``True``: the caller quarantines it.
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=1.0)
+    for index in range(start, stop):
+        strikes[index] = strikes.get(index, 0) + 1
+    if stop - start > 1:
+        mid = (start + stop) // 2
+        pending[:0] = [(start, mid), (mid, stop)]
+    elif strikes[start] < quarantine_strikes:
+        pending.insert(0, (start, stop))
+    else:
+        return True
+    return False
 
 
-def _wave_budget(
-    deadline: Optional[DeadlinePolicy],
-    retry: Optional[RetryPolicy],
-    wave_points: int,
-    workers: int,
-) -> Optional[float]:
-    """Pool-level wait budget for one wave of shard futures.
+def _hold_leases(conn, payload: bytes) -> None:
+    """A process worker: unpickle the sweep function, points and retry
+    policy, then run each ``(start, stop)`` lease received on ``conn``
+    through :func:`_run_shard` and send back its results, until the stop
+    message (``None``)."""
+    fn, points, retry = pickle.loads(payload)
+    while (lease := conn.recv()) is not None:
+        start, stop = lease
+        conn.send(_run_shard(fn, points[start:stop], retry))
 
-    Conservative: per-point budget (deadline x in-worker retry
-    attempts) times the worst sequential run any single worker might
-    see, plus one extra point and the policy's startup grace.  A wave
-    that overruns it has a hung worker somewhere; the not-yet-finished
-    shards become recovery suspects.
+
+class _Leaseholder:
+    """The parent's end of one worker process: its pipe, its process and
+    the lease it holds (``None`` while idle).  The worker unpickles the
+    sweep instead of inheriting the parent's objects through the fork,
+    so a :class:`~repro.store.ResultStore` in it opens its own connection.
     """
-    if deadline is None:
-        return None
-    attempts = retry.max_attempts if retry is not None else 1
-    per_point = deadline.timeout * attempts
-    rounds = -(-wave_points // max(1, workers))
-    return per_point * (rounds + 1) + deadline.grace
+
+    def __init__(self, payload: bytes) -> None:
+        self.conn, self.child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_hold_leases, args=(self.child, payload)
+        )
+        self.lease: Optional[Tuple[int, int]] = None
+        self.granted = self.cutoff = 0.0
+
+    def start(self) -> None:
+        self.process.start()
+        self.child.close()
+
+    def grant(
+        self, pending: List[Tuple[int, int]], per_point: float, grace: float
+    ) -> bool:
+        """Send the worker the first ``pending`` lease and take it off;
+        ``False``, the lease left pending, when the worker is dead."""
+        try:
+            self.conn.send(pending[0])
+        except OSError:
+            return False
+        self.lease, self.granted = pending.pop(0), time.monotonic()
+        self.cutoff = self.granted + per_point * (self.lease[1] - self.lease[0]) + grace
+        return True
+
+    def receive(self) -> Optional[List[SweepResult]]:
+        """The lease's results, or ``None`` when the worker died."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def stop(self) -> None:
+        """Stop an idle worker with the stop message, kill a busy one.
+
+        Closing the pipe would not do: a forked worker inherits the
+        parent's ends of its older siblings' pipes, so none of them
+        sees EOF while a younger sibling lives.
+        """
+        if self.process.pid is not None:  # started
+            if self.lease is None:
+                try:
+                    self.conn.send(None)
+                except OSError:
+                    pass
+            else:
+                self.process.kill()
+            self.process.join()
+        self.conn.close()
+        self.child.close()
 
 
 def _process_sweep(
@@ -447,117 +521,91 @@ def _process_sweep(
     retry: Optional[RetryPolicy],
     deadline: Optional[DeadlinePolicy],
 ) -> List[SweepResult]:
-    """Sharded process-pool sweep with crash recovery.
+    """Sharded process sweep on the fleet's lease protocol.
 
-    The happy path is one wave: every shard submitted to one pool,
-    results merged by global index (bit-identical to the serial path —
-    nothing about a point's computation depends on which worker ran
-    it).  On a fault — ``BrokenProcessPool`` from a dying worker, or a
-    pool-budget overrun from a hung one — the pool is torn down and
-    the fabric switches to *isolation mode*: suspect ranges are re-run
-    one per wave in a fresh pool, fatal ranges are bisected, and the
-    single poisoned point left standing is quarantined into a
-    :class:`SweepResult` carrying the failure reason and the number of
-    waves it was implicated in.  Completed shard results are never
-    recomputed; innocent points re-run deterministically.
+    Up to ``workers`` worker processes fork from the parent (which
+    starts no threads) and unpickle the sweep function, points and
+    retry policy once, then each holds one ``(start, stop)`` lease at a
+    time over a pipe, and its results merge by global index as soon as it
+    returns — bit-identical to the serial path, since nothing about a
+    point's computation depends on which worker ran it.  A worker whose
+    process exits (``BrokenProcessPool``), or whose lease outlives
+    ``deadline.timeout x retry attempts x points + grace`` (the pool
+    budget), is killed; only its lease fails, through
+    :func:`_fail_lease` with a quarantine threshold of one, and a fresh
+    worker takes its place.  A Ctrl-C kills the busy workers, stops the
+    idle ones and raises :class:`SweepInterrupted` with every merged
+    point.
     """
+    pending = _shard(points, workers, shard_size)
+    per_point, grace = math.inf, 0.0  # the budget of one point: deadline x attempts
+    if deadline is not None:
+        per_point = deadline.timeout * (retry.max_attempts if retry is not None else 1)
+        grace = deadline.grace
     results: Dict[int, SweepResult] = {}
     strikes: Dict[int, int] = {}
-    pending: List[Tuple[int, int]] = _shard(points, workers, shard_size)
-    isolate = False
+    holders: List[_Leaseholder] = []
     try:
-        results = _process_waves(
-            fn, points, pending, workers=workers, retry=retry,
-            deadline=deadline, results=results, strikes=strikes,
-            isolate=isolate,
-        )
+        payload = pickle.dumps((fn, points, retry), protocol=pickle.HIGHEST_PROTOCOL)
+        while True:
+            for holder in [holder for holder in holders if holder.lease is None]:
+                if pending and not holder.grant(pending, per_point, grace):
+                    holder.stop()  # died while idle: a fresh worker takes the lease
+                    holders.remove(holder)
+            while pending and len(holders) < workers:
+                # Listed before its fork, so a Ctrl-C cannot orphan the
+                # worker; the lease waits in the pipe until it reads it.
+                holders.append(_Leaseholder(payload))
+                holders[-1].grant(pending, per_point, grace)
+                holders[-1].start()
+            busy = [holder for holder in holders if holder.lease is not None]
+            if not busy:  # nothing pending either: every point is in
+                break
+            wait = min(holder.cutoff for holder in busy) - time.monotonic()
+            ready = _wait_ready(
+                [holder.conn for holder in busy]
+                + [holder.process.sentinel for holder in busy],
+                None if wait == math.inf else max(0.0, wait),
+            )
+            now = time.monotonic()
+            for holder in busy:
+                start, stop = holder.lease
+                shard = holder.receive() if holder.conn in ready else None
+                if shard is not None:
+                    results.update(zip(range(start, stop), shard))
+                    holder.lease = None
+                    continue
+                died = holder.conn in ready or holder.process.sentinel in ready
+                if not died and now < holder.cutoff:
+                    continue
+                holder.stop()
+                holders.remove(holder)
+                if died:
+                    reason = (
+                        f"BrokenProcessPool: worker process exited with code"
+                        f" {holder.process.exitcode} while holding [{start}:{stop})"
+                    )
+                else:
+                    reason = (
+                        f"DeadlineExceeded: lease [{start}:{stop}) still running"
+                        f" after its {holder.cutoff - holder.granted:.6g}s pool budget"
+                    )
+                if _fail_lease(pending, strikes, start, stop, 1):
+                    results[start] = SweepResult(
+                        point=points[start],
+                        value=None,
+                        seconds=now - holder.granted,
+                        error=reason,
+                        attempts=strikes[start],
+                    )
     except KeyboardInterrupt:
-        # Each wave's ``finally`` already tore its pool down (no
-        # orphaned workers); salvage what completed, in grid order.
         raise SweepInterrupted(
             [results[index] for index in sorted(results)]
         ) from None
+    finally:
+        for holder in holders:
+            holder.stop()
     return [results[index] for index in range(len(points))]
-
-
-def _process_waves(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    pending: List[Tuple[int, int]],
-    *,
-    workers: int,
-    retry: Optional[RetryPolicy],
-    deadline: Optional[DeadlinePolicy],
-    results: Dict[int, SweepResult],
-    strikes: Dict[int, int],
-    isolate: bool,
-) -> Dict[int, SweepResult]:
-    """The wave loop of :func:`_process_sweep`; fills ``results`` in
-    place (so an interrupt can salvage partials) and returns it."""
-    while pending:
-        if isolate:  # one suspect range per wave: unambiguous blame
-            wave, pending = [pending[0]], pending[1:]
-        else:
-            wave, pending = pending, []
-        wave_points = sum(stop - start for start, stop in wave)
-        budget = _wave_budget(deadline, retry, wave_points, workers)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(wave)))
-        started = time.perf_counter()
-        futures: Dict[Any, Tuple[int, int]] = {}
-        try:
-            futures = {
-                pool.submit(_run_shard, fn, points[start:stop], retry): (
-                    start,
-                    stop,
-                )
-                for start, stop in wave
-            }
-            done, not_done = _futures_wait(futures, timeout=budget)
-            elapsed = time.perf_counter() - started
-            suspects: List[Tuple[Tuple[int, int], str]] = []
-            for future in done:
-                span = futures[future]
-                try:
-                    shard_results = future.result()
-                except Exception as exc:  # worker death, pool breakage
-                    detail = str(exc) or "worker process died"
-                    suspects.append(
-                        (span, f"{type(exc).__name__}: {detail}")
-                    )
-                else:
-                    for offset, result in enumerate(shard_results):
-                        results[span[0] + offset] = result
-            for future in not_done:
-                span = futures[future]
-                suspects.append(
-                    (
-                        span,
-                        f"DeadlineExceeded: shard still running after the"
-                        f" {budget:.6g}s pool budget",
-                    )
-                )
-        finally:
-            if any(not future.done() for future in futures):
-                _terminate_pool(pool)  # hung workers: hard stop
-            else:
-                pool.shutdown(wait=True)
-        if suspects and not isolate:
-            isolate = True
-        for (start, stop), reason in suspects:
-            for index in range(start, stop):
-                strikes[index] = strikes.get(index, 0) + 1
-            if stop - start == 1:  # the poisoned point, isolated
-                results[start] = SweepResult(
-                    point=points[start],
-                    value=None,
-                    seconds=elapsed,
-                    error=reason,
-                    attempts=strikes[start],
-                )
-            else:  # bisect: halve the suspect range and requeue
-                mid = (start + stop) // 2
-                pending.extend([(start, mid), (mid, stop)])
-    return results
 
 
 def sweep(
@@ -580,13 +628,12 @@ def sweep(
     continues; ``on_error="raise"`` re-raises the first failure after
     the pool drains.
 
-    ``executor="process"`` fans *shards* (contiguous chunks of
-    ``shard_size`` points, see :func:`_shard`) through a
-    :class:`~concurrent.futures.ProcessPoolExecutor` and merges the
-    ordered shard results; ``shard_size`` is ignored by the serial and
-    thread executors, where per-point submission is already cheap.  The
-    process path survives worker crashes and pool-level deadline
-    overruns — see :func:`_process_sweep`.
+    ``executor="process"`` leases *shards* (contiguous chunks of
+    ``shard_size`` points, see :func:`_shard`) to forked worker
+    processes and merges the ordered shard results; ``shard_size`` is
+    ignored by the serial and thread executors, where per-point
+    submission is already cheap.  The process path survives worker
+    crashes and lease deadline overruns — see :func:`_process_sweep`.
 
     ``executor="remote"`` ships the sweep to a
     :class:`~repro.service.Coordinator` worker fleet (``remote`` names
@@ -603,7 +650,7 @@ def sweep(
     which case this runner behaves exactly as it always has.
 
     A Ctrl-C lands as :class:`SweepInterrupted` after the executor has
-    shut down cleanly (pools terminated, remote job cancelled — no
+    shut down cleanly (workers stopped, remote job cancelled — no
     orphaned workers), carrying the completed partial results.
     """
     validate_executor(executor)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -83,17 +83,3 @@ class MimoSystemConfig:
                      ) -> RayleighFadingChannel:
         """Continuous channel for the Monte-Carlo baseline (1 TX antenna)."""
         return RayleighFadingChannel(self.num_rx, 1, self.sigma, rng=rng)
-
-    # ------------------------------------------------------------------
-    # Finite alphabets for the DTMC model
-    # ------------------------------------------------------------------
-    def h_level_distribution(self) -> List[Tuple[float, float]]:
-        """``(probability, level)`` of a quantized fading dimension."""
-        quantizer = self.make_h_quantizer()
-        return quantizer.output_distribution(0.0, FADING_SIGMA)
-
-    def y_level_distribution(self, mean: float) -> List[Tuple[float, float]]:
-        """``(probability, level)`` of a quantized received dimension
-        whose noiseless value is ``mean``."""
-        quantizer = self.make_y_quantizer()
-        return quantizer.output_distribution(mean, self.sigma)

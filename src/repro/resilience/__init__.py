@@ -7,12 +7,13 @@ fault-tolerance layer threaded through :mod:`repro.engine.sweep`,
 
 * :class:`RetryPolicy` / :class:`DeadlinePolicy` — per-point retry
   budgets (exponential backoff, deterministic jitter) and wall-clock
-  deadlines (watchdog threads on serial/thread executors, pool-level
-  ``concurrent.futures`` timeouts on the process executor).
-* Crash recovery — the process executor survives worker death
-  (``BrokenProcessPool``): the pool is rebuilt, lost shards are
-  resubmitted, and a repeatedly-fatal shard is bisected down to the
-  single poisoned point, which is quarantined into its
+  deadlines (watchdog threads on serial/thread executors, a per-lease
+  budget on the process executor and the worker fleet).
+* Crash recovery — both fan-outs lease shards to workers, and a
+  worker that dies (``BrokenProcessPool`` on the process executor,
+  ``WorkerLost`` on the fleet) or overruns its lease costs only that
+  lease: one bisection rule halves the failed range until the single
+  poisoned point is left, which is quarantined into its
   :class:`~repro.engine.SweepResult` instead of sinking the sweep.
 * Checkpoint/resume — sweeps against a
   :class:`~repro.store.ResultStore` persist every *successful* point;

@@ -314,13 +314,6 @@ class FaultInjector:
         sock.sendall(data)
         return True
 
-    def with_fault(self, point: Any, fault: Fault) -> "FaultInjector":
-        """Copy of this injector with one more planned fault."""
-        clone = FaultInjector({}, self.state_dir)
-        clone.plan = dict(self.plan)
-        clone.plan[_canonical(point)] = fault
-        return clone
-
     @staticmethod
     def kill_remote(connect: str, worker: Optional[str] = None) -> str:
         """Kill one networked sweep worker over the wire.

@@ -10,15 +10,15 @@ lost grid.  The two policies here are the knobs the fabric accepts:
     between attempts (exponential backoff), and which exception types
     are considered transient.  Backoff jitter is *deterministic*,
     derived from the point's canonical key and the attempt number, so
-    a retried sweep is reproducible wave-for-wave — there is no
+    a retried sweep is reproducible attempt for attempt — there is no
     ambient randomness anywhere in the fabric.
 
 :class:`DeadlinePolicy`
     The per-point wall-clock budget.  Serial and thread executors
     enforce it with a watchdog (the point runs in a helper thread that
-    is abandoned when the deadline passes); the process executor
-    enforces it with :mod:`concurrent.futures` timeouts at the pool
-    level, escalating hung shards into the crash-recovery protocol of
+    is abandoned when the deadline passes); the process executor kills
+    a worker whose shard lease outlives the lease budget, escalating
+    the hung shard into the lease bisection of
     :func:`repro.engine.sweep`.
 
 Both are frozen dataclasses with ``coerce`` constructors so call
@@ -78,8 +78,9 @@ class RetryPolicy:
         Exception types considered transient; anything not matching is
         failed immediately.  :class:`DeadlineExceeded` is an ordinary
         ``TimeoutError`` subclass, so the default ``(Exception,)``
-        retries deadline kills too (on the watchdog executors — the
-        process pool quarantines hard hangs without retry).
+        retries deadline kills too (on the watchdog executors — a
+        process or fleet worker whose lease overruns is killed, and the
+        lease bisected, without retry).
     """
 
     max_attempts: int = 3
@@ -160,11 +161,12 @@ class DeadlinePolicy:
         executors abandon the point's watchdog thread and raise
         :class:`DeadlineExceeded` (retryable under a
         :class:`RetryPolicy` whose ``retry_on`` matches); the process
-        executor waits on shard futures with a budget derived from
-        this and escalates overruns into pool teardown + shard
-        bisection, quarantining the hung point.
+        executor gives each shard lease ``timeout x retry attempts x
+        points + grace`` and kills the worker of a lease that outlives
+        it, bisecting the lease down to the hung point, which it
+        quarantines.
     grace:
-        Extra allowance (seconds) added to pool-level waits for worker
+        Extra allowance (seconds) added to each lease budget for worker
         startup and dispatch; irrelevant to the watchdog executors.
     """
 

@@ -26,7 +26,8 @@ class SweepReport:
     with their error and attempt count instead of sinking the sweep);
     ``timed_out`` is the subset killed by a
     :class:`~repro.resilience.DeadlinePolicy`; ``crashed`` the subset
-    lost to worker death (``BrokenProcessPool``).  ``retried`` counts
+    lost to worker death (``BrokenProcessPool`` on the process
+    executor, ``WorkerLost`` on the worker fleet).  ``retried`` counts
     points that needed more than one attempt, whether or not they
     eventually succeeded.  ``recomputed`` is ``total - cached`` — on a
     ``--resume`` run, the points the store could not serve.
@@ -70,7 +71,7 @@ class SweepReport:
             report.errors[exc_name] = report.errors.get(exc_name, 0) + 1
             if exc_name == "DeadlineExceeded":
                 report.timed_out += 1
-            elif exc_name == "BrokenProcessPool":
+            elif exc_name in ("BrokenProcessPool", "WorkerLost"):
                 report.crashed += 1
         return report
 

@@ -1,29 +1,33 @@
 """The shard coordinator: leases, heartbeats, and crash recovery.
 
-The coordinator is the networked twin of the process executor's wave
-loop (:func:`repro.engine.sweep._process_sweep`): a sweep job arrives
-as a pickled sweep function plus an encoded point list, is chunked
-into contiguous *shard leases*, and workers pull leases, compute them
-through the ordinary fabric (`_run_point`, so retry policies apply
-in-worker unchanged), and stream results back.  Results merge by
+The coordinator serves the process executor's lease protocol
+(:func:`repro.engine.sweep._process_sweep`) over TCP: a sweep job
+arrives as a pickled sweep function plus an encoded point list, is
+chunked into contiguous *shard leases* by the same
+:func:`~repro.engine.sweep._shard`, and workers pull leases, compute
+them through the ordinary fabric (``_run_shard``, so retry policies
+apply in-worker unchanged), and stream results back.  Results merge by
 global grid index, so the assembled sweep is bit-identical to the
 serial path no matter which worker ran what, how leases were split,
 or how many workers died along the way.
 
-Fault model — exactly the process executor's, stretched over TCP:
+Fault model — exactly the process executor's, stretched over TCP, with
+the one bisection rule both share
+(:func:`~repro.engine.sweep._fail_lease`):
 
 * a worker that stops heartbeating (SIGKILL, OOM, unplugged host) has
   its leases *reassigned*: the reaper requeues them for the next
   worker, splitting multi-point ranges in half so repeated deaths
   bisect down to a poisoned point;
 * a single-point lease that keeps dying is *quarantined* after
-  ``quarantine_strikes`` expiries — the client receives a
+  ``quarantine_strikes`` expiries (the process executor quarantines
+  on the first) — the client receives a
   :class:`~repro.engine.SweepResult` carrying the failure reason and
   strike count, every other point's value untouched;
 * a hung-but-heartbeating worker is caught by the per-point budget of
   a :class:`~repro.resilience.DeadlinePolicy` shipped with the job,
-  mirroring the pool-level budget of the process path;
-* ordinary exceptions never reach this layer: ``_run_point`` captures
+  the same lease budget the process executor kills a worker by;
+* ordinary exceptions never reach this layer: ``_run_shard`` captures
   them into the result inside the worker.
 
 The coordinator itself never unpickles job payloads — it forwards
@@ -57,6 +61,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..engine.sweep import _fail_lease, _shard
 from .journal import JobJournal
 from .wire import (
     PROTOCOL_VERSION,
@@ -240,7 +245,10 @@ class Coordinator:
                 results=dict(record.results),
                 quarantined=dict(record.quarantined),
             )
-            job.pending = self._reshard(record.missing_ranges(), job)
+            # Lease-sized shards, so one long missing run is not one lease.
+            job.pending = _shard(
+                job.points, 1, job.shard_size, record.missing_ranges()
+            )
             self.jobs[job.id] = job
             if job.done:  # crashed between the last merge and record_done
                 journal.record_done(job.id)
@@ -249,22 +257,6 @@ class Coordinator:
             suffix = job.id.rsplit("-", 1)[-1]
             if suffix.isdigit():
                 self._counter = max(self._counter, int(suffix))
-
-    def _reshard(
-        self, ranges: List[Tuple[int, int]], job: Job
-    ) -> List[Tuple[int, int]]:
-        """Chop replayed missing runs back into lease-sized shards
-        (the submitted ``shard_size`` when given, else ~quarters), so
-        one long untouched run does not become one giant lease."""
-        size = job.shard_size
-        if size is None or size < 1:
-            size = max(1, -(-len(job.points) // 4))
-        shards: List[Tuple[int, int]] = []
-        for start, stop in ranges:
-            shards.extend(
-                (lo, min(lo + size, stop)) for lo in range(start, stop, size)
-            )
-        return shards
 
     # -- id / shard helpers ------------------------------------------------
 
@@ -282,15 +274,10 @@ class Coordinator:
         """Contiguous index ranges, ~4 shards per live worker by default
         (the process executor's sizing, with the pool size replaced by
         whoever is registered right now)."""
-        if shard_size is None:
-            workers = max(1, self._live_workers())
-            shard_size = max(1, -(-count // (4 * workers)))
-        if shard_size < 1:
-            raise WireError(f"shard_size must be >= 1, got {shard_size}")
-        return [
-            (start, min(start + shard_size, count))
-            for start in range(0, count, shard_size)
-        ]
+        try:
+            return _shard(range(count), max(1, self._live_workers()), shard_size)
+        except ValueError as exc:
+            raise WireError(str(exc)) from None
 
     # -- submission / collection (client side) -----------------------------
 
@@ -409,26 +396,13 @@ class Coordinator:
         return reaped
 
     def _requeue(self, job: Job, start: int, stop: int, reason: str) -> None:
-        """The bisection protocol: strike every implicated point, split
-        multi-point ranges, quarantine a repeatedly-fatal single point."""
-        for index in range(start, stop):
-            job.strikes[index] = job.strikes.get(index, 0) + 1
-        if stop - start == 1:
-            if job.strikes[start] >= self.quarantine_strikes:
-                job.quarantined[start] = {
-                    "error": reason,
-                    "attempts": job.strikes[start],
-                }
-                if self.journal is not None:
-                    self.journal.record_quarantine(
-                        job.id, start, job.quarantined[start]
-                    )
-                self._maybe_finish(job)
-            else:  # one more chance on a (hopefully) healthier worker
-                job.pending.insert(0, (start, stop))
-        else:
-            mid = (start + stop) // 2
-            job.pending[:0] = [(start, mid), (mid, stop)]
+        """Apply the shared bisection rule to a lost lease, quarantining
+        a single point that has used up its strikes."""
+        if _fail_lease(job.pending, job.strikes, start, stop, self.quarantine_strikes):
+            job.quarantined[start] = {"error": reason, "attempts": job.strikes[start]}
+            if self.journal is not None:
+                self.journal.record_quarantine(job.id, start, job.quarantined[start])
+            self._maybe_finish(job)
 
     def _maybe_finish(self, job: Job) -> None:
         # Called with the lock held; the callback runs without it so a

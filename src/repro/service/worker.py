@@ -2,15 +2,16 @@
 
 One worker process (``repro-zoo worker --connect HOST:PORT``) runs the
 loop: register with the coordinator, poll for a shard lease, decode
-the job's sweep function, run every point through the *existing*
-fault-tolerant fabric (:func:`repro.engine.sweep._run_point`, so
-:class:`~repro.resilience.RetryPolicy` attempts and exception capture
-behave exactly as they do in a local sweep), stream the encoded
-results back, repeat.  While a shard computes, a daemon heartbeat
-thread keeps telling the coordinator "still alive" — the lease reaper
-only reassigns work when those heartbeats stop (the worker died) or a
-shipped :class:`~repro.resilience.DeadlinePolicy` budget blows (the
-worker hung).
+the job's sweep function, run the shard through the *existing*
+fault-tolerant fabric (:func:`repro.engine.sweep._run_shard`, the
+process executor's work unit, so :class:`~repro.resilience.RetryPolicy`
+attempts and exception capture behave exactly as they do in a local
+sweep), stream the encoded results back, repeat.  While a shard
+computes, a daemon heartbeat thread keeps telling the coordinator
+"still alive" — the lease reaper only reassigns work when those
+heartbeats stop (the worker died) or a shipped
+:class:`~repro.resilience.DeadlinePolicy` budget blows (the worker
+hung).
 
 Determinism: a worker adds nothing to the computation — the sweep
 function already carries its per-point seed streams spawned by grid
@@ -191,16 +192,14 @@ class Worker:
 
     def _compute_shard(self, shard: Dict[str, Any]) -> Dict[str, Any]:
         """Run one leased shard through the local fabric."""
-        from ..engine.sweep import _run_point
-        from ..resilience import RetryPolicy
+        from ..engine.sweep import _run_shard
 
         fn = decode(shard["fn"])
         retry_spec = shard.get("retry") or None
         retry = decode(retry_spec) if retry_spec else None
         if retry is not None and not isinstance(retry, RetryPolicy):
             retry = RetryPolicy.coerce(retry)
-        points = [decode(p) for p in shard["points"]]
-        results = [_run_point(fn, point, retry) for point in points]
+        results = _run_shard(fn, [decode(p) for p in shard["points"]], retry)
         self.shards_done += 1
         self.points_done += len(results)
         return {

@@ -33,10 +33,9 @@ field-by-field and rebuilt on read, so a warm sweep returns objects
 equal to the cold run's.
 
 The store pickles by *location* (path, salt, timeout), not by
-connection: each unpickled copy — e.g. one per
-``ProcessPoolExecutor`` worker in a sharded survey — reopens its own
-connection lazily, which is exactly the safe way to share sqlite
-across processes.
+connection: each unpickled copy — e.g. one per process-executor
+worker in a sharded survey — reopens its own connection lazily, which
+is exactly the safe way to share sqlite across processes.
 """
 
 from __future__ import annotations

@@ -139,15 +139,6 @@ class Trellis:
             return int(self._branch_table[q, state, bit])
         return abs(q - int(self._expected_index[state, bit]))
 
-    def branch_metric_table(self) -> np.ndarray:
-        """Precomputed metrics, shape ``(num_levels, num_states, 2)``:
-        entry ``[q, s, b]`` is :meth:`branch_metric` of branch
-        ``s --b-->`` for received index ``q``.  Computed once at
-        construction — callers stepping the trellis many times (the
-        Monte-Carlo simulators, the DTMC builders) should index this
-        instead of recomputing distances per cycle."""
-        return self._branch_table
-
     # ------------------------------------------------------------------
     # Add-compare-select
     # ------------------------------------------------------------------

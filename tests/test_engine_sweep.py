@@ -1,6 +1,7 @@
 """Tests for the scenario-sweep runner (repro.engine.sweep)."""
 
 import math
+import multiprocessing
 import threading
 
 import pytest
@@ -99,6 +100,14 @@ class TestSweep:
             r.value
             for r in sweep(math.sqrt, [1.0, 4.0, 9.0], executor="process")
         ] == [1.0, 2.0, 3.0]
+
+    def test_process_pool_rejects_unpicklable_function(self):
+        # Workers get the sweep as a pickle, as fleet workers do, so a
+        # closure fails at once instead of point by point.
+        scale = 10
+        with pytest.raises(Exception, match="pickle"):
+            sweep(lambda p: p * scale, [1, 2], executor="process")
+        assert multiprocessing.active_children() == []
 
 
 class TestExperimentDriversAcrossExecutors:

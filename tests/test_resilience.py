@@ -5,10 +5,12 @@ Covers the ISSUE-7 acceptance surface:
 * retry policies: attempt budgets, exception allowlists, deterministic
   exponential backoff with per-point jitter;
 * deadline policies: watchdog kills on the serial/thread executors,
-  pool-level budgets on the process executor;
-* crash recovery: worker kills (``BrokenProcessPool``) survive, the
-  poisoned point is bisected out and quarantined, and every surviving
-  point's value is bit-identical to the serial path;
+  lease budgets on the process executor;
+* crash recovery: worker kills (``BrokenProcessPool``) survive at the
+  cost of the dead worker's lease alone, the poisoned point is
+  bisected out and quarantined, every surviving point's value is
+  bit-identical to the serial path, and a Ctrl-C keeps every finished
+  lease and leaves no worker behind;
 * checkpoint/resume: an interrupted store-backed sweep resumed against
   the same store recomputes only the missing points and returns values
   identical to an uninterrupted cold run;
@@ -24,7 +26,11 @@ filesystem scoreboard), so every scenario reproduces across executors
 and machines.
 """
 
+import functools
 import math
+import multiprocessing
+import os
+import signal
 import sys
 import time
 
@@ -359,8 +365,37 @@ class TestDeadlineLanes:
 
 
 # ----------------------------------------------------------------------
-# Process executor: crash recovery, bisection, pool-level deadlines
+# Process executor: crash recovery, bisection, lease deadlines
 # ----------------------------------------------------------------------
+
+def _slow_square(x):
+    time.sleep(0.2)
+    return x * x
+
+
+def _kill_idle_sibling(scoreboard, x):
+    """Point 1 records its worker's pid.  Point 2's first run waits until
+    that worker is idle, SIGKILLs it and then kills its own worker."""
+    pid_path = os.path.join(scoreboard, "pid")
+    if x == 1:
+        with open(pid_path + ".tmp", "w") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(pid_path + ".tmp", pid_path)
+    elif x == 2:
+        try:
+            os.close(os.open(os.path.join(scoreboard, "killed"), os.O_CREAT | os.O_EXCL))
+        except FileExistsError:  # the rerun
+            return x * x
+        deadline = time.monotonic() + 10
+        while not os.path.exists(pid_path) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # the sibling's results are home: it is idle
+        with open(pid_path) as handle:
+            os.kill(int(handle.read()), signal.SIGKILL)
+        time.sleep(0.3)
+        os._exit(1)
+    return x * x
+
 
 class TestProcessRecovery:
     def test_worker_kill_quarantined_survivors_identical(self, tmp_path):
@@ -384,6 +419,69 @@ class TestProcessRecovery:
             else:
                 assert got.ok
                 assert got.value == want.value  # bit-identical survivors
+
+    def test_crash_costs_only_the_dead_workers_lease(self, tmp_path):
+        # Every run of a point is recorded on the scoreboard; each then
+        # takes 0.3 s, except point 4, which kills its worker.
+        slow = Fault(kind="hang", hang_seconds=0.3)
+        injector = FaultInjector(
+            [({"x": x}, Fault(kind="kill") if x == 4 else slow) for x in range(12)],
+            tmp_path,
+        )
+        results = sweep(
+            injector.wrap(_square),
+            [{"x": x} for x in range(12)],
+            executor="process",
+            shard_size=3,
+            max_workers=2,
+        )
+        outside = [x for x in range(12) if not 3 <= x < 6]
+        assert {x: injector.attempts({"x": x}) for x in outside} == {
+            x: 1 for x in outside
+        }
+        assert results[4].error.startswith("BrokenProcessPool")
+        assert [r.value for r in results] == [
+            None if x == 4 else x * x for x in range(12)
+        ]
+
+    def test_ctrl_c_keeps_finished_leases_and_leaves_no_worker(self):
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.alarm(1)
+        try:
+            with pytest.raises(SweepInterrupted) as caught:
+                sweep(
+                    _slow_square,
+                    list(range(40)),
+                    executor="process",
+                    shard_size=2,
+                    max_workers=2,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        partial = caught.value.partial
+        assert 0 < len(partial) < 40
+        assert len({r.point for r in partial}) == len(partial)
+        assert all(r.ok and r.value == r.point**2 for r in partial)
+        assert multiprocessing.active_children() == []
+
+    def test_lease_sent_to_a_dead_idle_worker_is_not_charged(self, tmp_path):
+        # Leases [0, 2) and [2, 4): the first worker goes idle and is
+        # killed from outside; the second dies, and one half of its
+        # bisected lease is then offered to the dead idle worker.
+        results = sweep(
+            functools.partial(_kill_idle_sibling, str(tmp_path)),
+            list(range(4)),
+            executor="process",
+            shard_size=2,
+            max_workers=2,
+        )
+        assert [r.error for r in results] == [None] * 4
+        assert [r.value for r in results] == [0, 1, 4, 9]
+        assert multiprocessing.active_children() == []
 
     def test_two_poisoned_points_both_isolated(self, tmp_path):
         points = [{"x": i} for i in range(8)]
@@ -693,6 +791,23 @@ class TestSweepReport:
         assert "recomputed=5" in text
         assert "quarantined=2" in text
         assert "DeadlineExceeded x1" in text
+
+    def test_worker_lost_counts_as_crashed(self):
+        report = SweepReport.from_results(
+            [
+                SweepResult(point=1, value=1.0, seconds=0.1),
+                SweepResult(
+                    point=2, value=None, seconds=0.2, attempts=2,
+                    error="WorkerLost: worker w3 stopped heartbeating"
+                    " while holding [1:2)",
+                ),
+            ]
+        )
+        assert report.quarantined == 1
+        assert report.crashed == 1
+        assert report.timed_out == 0
+        assert report.errors == {"WorkerLost": 1}
+        assert "crashed=1" in report.describe()
 
     def test_healthy_clean_run(self):
         report = SweepReport.from_results(

@@ -17,6 +17,7 @@ Covers the ISSUE-6 acceptance surface:
   one shared executor pass.
 """
 
+import functools
 import math
 import multiprocessing
 import os
@@ -638,6 +639,14 @@ class TestZooSweepStore:
 # Sharded process executor: bit-identical merges
 # ----------------------------------------------------------------------
 
+def _bank_in_worker(store, point):
+    """Process sweep fn: report which connection this worker's copy of
+    ``store`` held, then write ``point`` through it."""
+    held = id(store._conn)
+    store.put({"x": point}, FORMULA, float(point))
+    return held
+
+
 class TestShardedProcessSweep:
     def test_shard_helper_covers_and_orders(self):
         points = list(range(10))
@@ -681,6 +690,22 @@ class TestShardedProcessSweep:
         assert [asdict(r.value) for r in serial] == [
             asdict(r.value) for r in process
         ]
+
+    def test_workers_open_their_own_store_connection(self, tmp_path):
+        # The parent's connection is open before the sweep; a worker
+        # writing through it would share one sqlite handle across fork.
+        store = ResultStore(tmp_path / "w.sqlite")
+        store.put({"x": -1}, FORMULA, -1.0)
+        parent = id(store._conn)
+        results = sweep(
+            functools.partial(_bank_in_worker, store), list(range(8)),
+            executor="process", shard_size=2, max_workers=2,
+        )
+        assert all(r.ok for r in results)
+        assert parent not in {r.value for r in results}
+        assert len(store) == 9
+        (verdict,) = store._connection().execute("PRAGMA integrity_check").fetchone()
+        assert verdict == "ok"
 
     def test_process_store_roundtrip(self, tmp_path):
         """Store traffic stays in the parent: process sweeps cache too."""
