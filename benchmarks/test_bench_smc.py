@@ -6,8 +6,7 @@ chain:
 * batched (fused, alias-sampled) ``smc_estimate`` vs the scalar
   per-path baseline at the default APMC tolerance — the headline
   speedup (the acceptance bar is >= 20x; measured well above);
-* alias sampling vs the historical binary-search sampling, scalar and
-  batched path generation;
+* scalar vs batched alias-sampled path generation;
 * APMC end-to-end and the chunked SPRT, whose data-dependent stopping
   sample is asserted equal to the scalar run's (exactness is part of
   the contract, so the benchmark file enforces it too).
@@ -54,24 +53,12 @@ def _timed(label, fn):
 
 
 # ----------------------------------------------------------------------
-# Path generation: scalar loop vs batched walk, alias vs binary search.
+# Path generation: scalar loop vs batched walk.
 # ----------------------------------------------------------------------
 
 def test_bench_paths_scalar_alias(benchmark, viterbi_chain):
     """2000 paths, one scalar alias-sampled path() call per path."""
     sampler = PathSampler(viterbi_chain)
-
-    def scalar():
-        rng = np.random.default_rng(0)
-        return [sampler.path(50, rng=rng) for _ in range(2000)]
-
-    paths = benchmark.pedantic(scalar, rounds=1, iterations=1)
-    assert len(paths) == 2000
-
-
-def test_bench_paths_scalar_binary_search(benchmark, viterbi_chain):
-    """Same workload through the historical binary-search sampler."""
-    sampler = PathSampler(viterbi_chain, method="search")
 
     def scalar():
         rng = np.random.default_rng(0)

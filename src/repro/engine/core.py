@@ -311,8 +311,9 @@ class Engine:
             return hit.copy()
 
         n = chain.num_states
-        reach = self.unbounded_until(chain, np.ones(n, dtype=bool), target)
-        finite = reach >= 1.0 - 1e-12
+        # Finite exactly on the graph Prob1 set of `F target`: a solved
+        # reach probability cannot tell 1 - 1e-13 from 1.
+        _, finite = self.prob01(chain, np.ones(n, dtype=bool), target)
         result = np.full(n, np.inf)
         result[target] = 0.0
         solve_states = np.nonzero(finite & ~target)[0]

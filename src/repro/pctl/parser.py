@@ -47,7 +47,13 @@ from .ast import (
     WeakUntil,
 )
 
-__all__ = ["parse_formula", "PctlSyntaxError"]
+__all__ = ["parse_formula", "PctlSyntaxError", "MAX_NESTING"]
+
+#: Deepest formula the parser accepts.  Every ``!``, parenthesis and
+#: P/R/S operator opens one level, and so does every further operand
+#: of an ``&``/``|``/``=>`` chain, so a formula within the cap stays
+#: well inside Python's recursion limit in the parser and the checker.
+MAX_NESTING = 100
 
 
 class PctlSyntaxError(ValueError):
@@ -89,6 +95,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.position = 0
+        self.depth = 0
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Tuple[str, str]:
@@ -110,6 +117,14 @@ class _Parser:
         if got != value:
             raise PctlSyntaxError(
                 f"expected {value!r} but found {got!r} in {self.text!r}"
+            )
+
+    def nest(self) -> None:
+        """Open one nesting level; the caller restores ``depth``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PctlSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels"
             )
 
     def expect_kind(self, kind: str) -> str:
@@ -134,36 +149,52 @@ class _Parser:
         return self.implies()
 
     def implies(self) -> StateFormula:
-        left = self.disjunction()
-        if self.accept("=>"):
-            return Implies(left, self.implies())
-        return left
+        depth = self.depth
+        operands = [self.disjunction()]
+        while self.accept("=>"):
+            self.nest()
+            operands.append(self.disjunction())
+        self.depth = depth
+        formula = operands.pop()
+        while operands:  # right-associative
+            formula = Implies(operands.pop(), formula)
+        return formula
 
     def disjunction(self) -> StateFormula:
+        depth = self.depth
         left = self.conjunction()
         while self.accept("|"):
+            self.nest()
             left = Or(left, self.conjunction())
+        self.depth = depth
         return left
 
     def conjunction(self) -> StateFormula:
+        depth = self.depth
         left = self.unary()
         while self.accept("&"):
+            self.nest()
             left = And(left, self.unary())
+        self.depth = depth
         return left
 
     def unary(self) -> StateFormula:
         kind, value = self.peek()
+        depth = self.depth
+        self.nest()
         if value == "!":
             self.advance()
-            return Not(self.unary())
-        if value == "(":
+            formula = Not(self.unary())
+        elif value == "(":
             self.advance()
-            inner = self.state_formula()
+            formula = self.state_formula()
             self.expect(")")
-            return inner
-        if value in ("P", "R", "S") and self._looks_like_operator():
-            return self.quantified()
-        return self.atom()
+        elif value in ("P", "R", "S") and self._looks_like_operator():
+            formula = self.quantified()
+        else:
+            formula = self.atom()
+        self.depth = depth
+        return formula
 
     def _looks_like_operator(self) -> bool:
         """Distinguish the P/R/S operators from identifiers named P/R/S.

@@ -61,6 +61,7 @@ import numpy as np
 
 from ..engine.config import SmcConfig
 from ..engine.sweep import CHECK_BACKENDS, _check_point
+from ..pctl.parser import PctlSyntaxError, parse_formula
 from ..resilience.policies import CircuitBreaker
 from .coordinator import Coordinator, Job
 from .wire import decode_result
@@ -93,7 +94,10 @@ ROUTES = [
         "statuses": {
             200: "warm store hit, value served without touching the engine",
             202: "miss enqueued as a single-point job; poll /jobs/<id>",
-            400: "unknown family/backend, or sprt without theta",
+            400: "unknown family/backend, a bad theta/epsilon/delta/seed"
+                 " (not a number, or theta/epsilon/delta outside (0, 1)),"
+                 " a formula that does not parse (misses only), or sprt"
+                 " without theta",
             429: "in-flight job table full; retry after Retry-After",
             503: "circuit breaker open (coordinator down); warm hits"
                  " still answer 200, retry after Retry-After",
@@ -179,6 +183,19 @@ class _BadRequest(ValueError):
     """Routed straight to a 400 response."""
 
 
+def _number(params: Dict[str, str], name: str, kind: type, default: Any) -> Any:
+    """One numeric query parameter, or :class:`_BadRequest`."""
+    if name not in params:
+        return default
+    try:
+        return kind(params[name])
+    except ValueError:
+        raise _BadRequest(
+            f"{name} must be {'an integer' if kind is int else 'a number'},"
+            f" got {params[name]!r}"
+        ) from None
+
+
 class _Degraded(RuntimeError):
     """Coordinator unavailable (breaker open): 503 + Retry-After."""
 
@@ -258,7 +275,17 @@ class Frontend:
                 f"unknown backend {backend!r};"
                 f" choose from {', '.join(CHECK_BACKENDS)}"
             )
-        theta = float(params["theta"]) if "theta" in params else None
+        theta = _number(params, "theta", float, None)
+        if theta is not None and not 0.0 < theta < 1.0:
+            raise _BadRequest(f"theta must be in (0,1), got {theta}")
+        try:
+            smc = SmcConfig(
+                epsilon=_number(params, "epsilon", float, 0.01),
+                delta=_number(params, "delta", float, 0.05),
+                seed=_number(params, "seed", int, 0),
+            )
+        except ValueError as exc:
+            raise _BadRequest(str(exc)) from None
         if backend == "sprt" and theta is None and require_theta:
             raise _BadRequest("backend=sprt requires theta=<threshold>")
         point = {
@@ -272,11 +299,7 @@ class Frontend:
             "backend": backend,
             "theta": theta,
             "reduce": _literal(params.get("reduce", "True")) not in (False, 0, "false"),
-            "smc": SmcConfig(
-                epsilon=float(params.get("epsilon", 0.01)),
-                delta=float(params.get("delta", 0.05)),
-                seed=int(params.get("seed", 0)),
-            ),
+            "smc": smc,
             "point": point,
         }
 
@@ -434,6 +457,12 @@ class Frontend:
                 samples=hit.samples,
             )
             return 200, body
+        # Only a miss parses: a formula that cannot parse must not
+        # become a job that fails later in a worker.
+        try:
+            parse_formula(query["formula"])
+        except PctlSyntaxError as exc:
+            raise _BadRequest(f"bad formula: {exc}") from None
         self.misses += 1
         try:
             job_id = self._enqueue_guarantee(query, scenario_id, fingerprint)

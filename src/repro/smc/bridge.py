@@ -157,6 +157,11 @@ def make_path_trial(
     return trial
 
 
+#: :class:`BatchTrial` state codes: a walker here keeps walking, or
+#: its verdict is decided true, or decided false.
+WALK, PASS, FAIL = 0, 1, 2
+
+
 class BatchTrial:
     """A bounded path property compiled to fused batched trials.
 
@@ -166,10 +171,18 @@ class BatchTrial:
     randomness, matching the scalar trial's draw order), then all
     still-undecided walkers advance together one
     :meth:`~repro.dtmc.simulate.PathSampler.advance` per time step.
-    Walkers retire as soon as the right-set is hit or the left-set is
-    violated, and the walk stops outright when none remain alive — on
+
+    Every state carries one int8 code (:data:`WALK`, :data:`PASS` or
+    :data:`FAIL`) derived once from the formula's left/right sets and
+    two retirement sets: hitting the right set passes, leaving the
+    left set fails, a state that cannot reach the right set along the
+    left set fails an until, and an absorbing state inside the left
+    set passes a weak until or a globally.  Each step is then one code
+    lookup and, when some walker retired, a compaction of the walkers
+    still on ``WALK``; the walk stops outright when none remain — on
     chains with absorbing goal states this typically walks far fewer
-    than ``bound`` steps.
+    than ``bound`` steps.  Walkers still walking at the bound fail an
+    until and pass a weak until or a globally.
 
     Attributes
     ----------
@@ -200,25 +213,26 @@ class BatchTrial:
         self.draws_per_trial = self.bound + 1
         self.last_walk_steps = 0
         self.trials_drawn = 0
-        # Retirement sets beyond the formula's own left/right masks:
-        # walkers whose verdict can no longer change stop walking.
-        n = chain.num_states
+        self._code = np.full(chain.num_states, WALK, dtype=np.int8)
+        self._survivors_pass = kind != "until"
+        if kind == "next":  # single step, decided by `right` alone
+            return
         absorbing = chain.transition_matrix.diagonal() >= 1.0 - 1e-12
         if kind == "until":
             # States that cannot reach `right` along `left` paths fail
             # every (bounded or not) until — Prob0-style retirement.
-            self._retire_fail = ~backward_reachable_mask(
+            fail = ~backward_reachable_mask(
                 chain, np.flatnonzero(right), left & ~right
             )
-            self._retire_pass = np.zeros(n, dtype=bool)
+            passed = right
         elif kind == "weak":
-            self._retire_fail = np.zeros(n, dtype=bool)
-            self._retire_pass = absorbing & left & ~right
-        elif kind == "globally":
-            self._retire_fail = np.zeros(n, dtype=bool)
-            self._retire_pass = absorbing & left
-        else:  # next: single step, nothing to retire
-            self._retire_fail = self._retire_pass = np.zeros(n, dtype=bool)
+            fail = ~left
+            passed = right | (absorbing & left)
+        else:  # globally
+            fail = ~left
+            passed = absorbing & left
+        self._code[fail] = FAIL
+        self._code[passed] = PASS
 
     def __call__(self, rng: np.random.Generator, count: int) -> np.ndarray:
         uniforms = rng.random((count, self.draws_per_trial))
@@ -229,46 +243,10 @@ class BatchTrial:
             self.last_walk_steps = 1
             return self.right[sampler.advance(states, uniforms[:, 1])]
 
-        outcome = np.zeros(count, dtype=bool)
-        if self.kind == "globally":
-            holds = self.left[states]
-            frozen = holds & self._retire_pass[states]
-            outcome[frozen] = True  # absorbed inside left: safe forever
-            walking = np.nonzero(holds & ~frozen)[0]
-            current = states[walking]
-            steps = 0
-            for t in range(1, self.bound + 1):
-                if walking.size == 0:
-                    break
-                steps = t
-                current = sampler.advance(current, uniforms[walking, t])
-                keep = self.left[current]
-                walking = walking[keep]
-                current = current[keep]
-                frozen = self._retire_pass[current]
-                if frozen.any():
-                    outcome[walking[frozen]] = True
-                    walking = walking[~frozen]
-                    current = current[~frozen]
-            outcome[walking] = True  # survived every step
-            self.last_walk_steps = steps
-            return outcome
-
-        # until / weak until: retire on right-hit (success),
-        # left-violation (failure), a Prob0 state (until can no longer
-        # succeed) or a safe absorbing state (weak can no longer fail);
-        # weak-until survivors succeed.
-        satisfied = self.right[states]
-        outcome[satisfied] = True
-        frozen = ~satisfied & self._retire_pass[states]
-        outcome[frozen] = True
-        undecided = (
-            ~satisfied
-            & ~frozen
-            & self.left[states]
-            & ~self._retire_fail[states]
-        )
-        walking = np.nonzero(undecided)[0]
+        code = self._code
+        status = code[states]
+        outcome = status == PASS
+        walking = np.flatnonzero(status == WALK)
         current = states[walking]
         steps = 0
         for t in range(1, self.bound + 1):
@@ -276,20 +254,13 @@ class BatchTrial:
                 break
             steps = t
             current = sampler.advance(current, uniforms[walking, t])
-            hit = self.right[current]
-            outcome[walking[hit]] = True
-            frozen = ~hit & self._retire_pass[current]
-            if frozen.any():
-                outcome[walking[frozen]] = True
-            keep = (
-                ~hit
-                & ~frozen
-                & self.left[current]
-                & ~self._retire_fail[current]
-            )
-            walking = walking[keep]
-            current = current[keep]
-        if self.kind == "weak":
+            status = code[current]
+            if status.any():  # some walker left WALK (code 0)
+                outcome[walking[status == PASS]] = True
+                keep = status == WALK
+                walking = walking[keep]
+                current = current[keep]
+        if self._survivors_pass:
             outcome[walking] = True
         self.last_walk_steps = steps
         return outcome

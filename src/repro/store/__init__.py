@@ -30,6 +30,7 @@ from .history import (
     relative_drift,
 )
 from .result_store import (
+    NUMERICS_REVISION,
     SCHEMA_VERSION,
     ResultStore,
     StoreError,
@@ -47,6 +48,7 @@ __all__ = [
     "DRIFT_TOLERANCE",
     "DiffEntry",
     "HistoryPoint",
+    "NUMERICS_REVISION",
     "SCHEMA_VERSION",
     "ResultStore",
     "SaltDiff",

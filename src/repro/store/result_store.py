@@ -13,8 +13,10 @@ A stored row is addressed by the SHA-256 of the canonical JSON of::
 
     [salt, scenario, formula, backend, config]
 
-* ``salt`` — the code/version salt (default ``repro/<version>/store-v<schema>``);
-  bumping the package version invalidates every cached result.
+* ``salt`` — the code/version salt (default
+  ``repro/<version>/n<k>/store-v<schema>``); bumping the package
+  version, the numerics revision ``k`` or the schema invalidates every
+  cached result.
 * ``scenario`` — the JSON-able scenario identity.  ``zoo.sweep`` uses
   ``ScenarioSpec.key()`` over the *fully merged* parameters plus the
   ``reduce`` flag, so ``points=[{}]`` and the spelled-out defaults hit
@@ -63,6 +65,7 @@ from .history import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "NUMERICS_REVISION",
     "StoreError",
     "StoredResult",
     "StoreStats",
@@ -81,6 +84,15 @@ __all__ = [
 #: versions); v1 files are migrated in place on first open.
 SCHEMA_VERSION = 2
 
+#: Bumped whenever a change moves computed values (an exact solve, an
+#: SMC estimate for a given seed); part of the default salt, so rows
+#: banked by older numerics stay readable as history but are never
+#: served as hits.  ``tests/test_numerics_golden.py`` pins one value
+#: per zoo family and fails until this is bumped.  Revision 1: alias
+#: tables built in one vectorized pass, and reachability rewards
+#: finite exactly on the graph Prob1 set.
+NUMERICS_REVISION = 1
+
 
 class StoreError(Exception):
     """A result-store operation failed (bad key, bad payload, ...)."""
@@ -89,7 +101,7 @@ class StoreError(Exception):
 def _default_salt() -> str:
     from .. import __version__  # deferred: repro/__init__ imports this module
 
-    return f"repro/{__version__}/store-v{SCHEMA_VERSION}"
+    return f"repro/{__version__}/n{NUMERICS_REVISION}/store-v{SCHEMA_VERSION}"
 
 
 def _json_default(obj: Any) -> Any:
@@ -345,7 +357,8 @@ class ResultStore:
         parent directories are not created).
     salt:
         Code/version salt mixed into every key; defaults to
-        ``repro/<version>/store-v<schema>``, so upgrading the package
+        ``repro/<version>/n<k>/store-v<schema>``, so upgrading the
+        package, the numerics revision ``k`` (:data:`NUMERICS_REVISION`)
         or the store schema invalidates the cache wholesale.
     timeout:
         sqlite busy timeout in seconds — how long a writer waits for a

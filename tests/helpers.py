@@ -59,6 +59,18 @@ def gamblers_ruin(n: int = 5, p: float = 0.5) -> DTMC:
     )
 
 
+def leak_chain(leak: float) -> DTMC:
+    """``s`` reaches ``goal`` with probability ``1 - leak`` and an
+    absorbing ``sink`` otherwise; one step from ``s`` earns reward 1."""
+    row = {"goal": 1.0 - leak, "sink": leak} if leak else {"goal": 1.0}
+    return dtmc_from_dict(
+        {"s": row, "goal": {"goal": 1.0}, "sink": {"sink": 1.0}},
+        initial="s",
+        labels={"goal": ["goal"]},
+        rewards={"steps": {"s": 1.0}},
+    )
+
+
 def random_stochastic_matrix(draw, max_states: int = 6):
     """Hypothesis helper drawing a random row-stochastic matrix."""
     n = draw(st.integers(min_value=1, max_value=max_states))

@@ -21,6 +21,8 @@ from repro.mimo import MimoSystemConfig, build_detector_model
 from repro.pctl import ModelChecker
 from repro.viterbi import ViterbiModelConfig, build_reduced_model
 
+from helpers import leak_chain
+
 QUICK_VITERBI = ViterbiModelConfig(traceback_length=3, num_levels=3, pm_max=3)
 
 AGREEMENT_TOLERANCE = 1e-8
@@ -185,6 +187,17 @@ class TestBackendAgreement:
         assert np.allclose(
             result[finite], reference[finite], atol=AGREEMENT_TOLERANCE
         )
+
+    @pytest.mark.parametrize("method", SOLVER_METHODS)
+    def test_reward_is_infinite_next_to_probability_one(self, method):
+        """Finiteness comes from the graph Prob1 set of ``F goal``, not
+        from the solved reach probability: a 1e-15 leak is a leak."""
+        values = [
+            check(leak_chain(leak), "R=? [ F goal ]", config=method).value
+            for leak in (1e-9, 1e-11, 1e-13, 1e-15)
+        ]
+        assert values == [np.inf] * 4
+        assert check(leak_chain(0.0), "R=? [ F goal ]", config=method).value == 1.0
 
     def test_reducible_prob01_structure(self):
         chain = reducible_chain()

@@ -25,6 +25,7 @@ from repro.pctl import (
     VarComparison,
     parse_formula,
 )
+from repro.pctl.parser import MAX_NESTING
 
 
 class TestPaperProperties:
@@ -150,3 +151,25 @@ class TestErrors:
         ]:
             formula = parse_formula(text)
             assert parse_formula(str(formula)) == formula
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "!(" * 1000 + "done" + ")" * 1000,
+            "P=? [ F " + " & ".join(["done"] * 1000) + " ]",
+            " => ".join(["done"] * 1000),
+        ],
+    )
+    def test_deep_formulas_raise_syntax_error(self, text):
+        with pytest.raises(PctlSyntaxError, match="nests deeper"):
+            parse_formula(text)
+
+    def test_nesting_within_the_cap_parses(self):
+        text = "done"
+        for _ in range(MAX_NESTING // 2 - 1):
+            text = f"P>=0.5 [ F {text} ]"
+        assert isinstance(parse_formula(text), ProbQuery)
+        chain = parse_formula(" | ".join(["done"] * (MAX_NESTING // 2)))
+        assert isinstance(chain, Or)

@@ -568,6 +568,39 @@ class TestFrontend:
         )
         assert status == 400 and "theta" in body["error"]
 
+    @pytest.mark.parametrize(
+        "query, needle",
+        [
+            ("epsilon=0", "epsilon"),
+            ("delta=1.5", "delta"),
+            ("seed=x", "seed"),
+            ("backend=sprt&theta=abc", "abc"),
+            ("backend=sprt&theta=1.5", "theta"),
+            ("formula=garbage(((", "formula"),
+            ("formula=" + "!(" * 200 + "goal" + ")" * 200, "nests deeper"),
+        ],
+    )
+    def test_bad_guarantee_query_answers_400_without_a_job(self, query, needle):
+        coord = Coordinator(salt="s")
+        front = Frontend(coord)
+        status, body = front.route(
+            "GET", f"/guarantee?family=birth-death&n=8&{query}"
+        )
+        assert status == 400 and needle in body["error"]
+        assert coord.jobs == {}
+        assert front.misses == 0
+
+    def test_bad_guarantee_query_answers_400_over_http(self):
+        coord = Coordinator(salt="s")
+        with FrontendServer(Frontend(coord), port=0) as server:
+            base = f"http://{server.address}/guarantee?family=birth-death"
+            for query in ("epsilon=0", "formula=garbage((("):
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    urllib.request.urlopen(f"{base}&{query}", timeout=10)
+                assert exc.value.code == 400
+                assert "error" in json.load(exc.value)
+        assert coord.jobs == {}
+
     def test_healthz_degrades_on_dead_worker(self):
         coord = Coordinator(salt="s", heartbeat=0.1)
         front = Frontend(coord)

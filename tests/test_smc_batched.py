@@ -72,16 +72,6 @@ class TestBatchedSampling:
         nxt = sampler.steps(np.zeros(40_000, dtype=np.int64))
         assert np.mean(nxt == 1) == pytest.approx(0.3, abs=0.01)
 
-    def test_search_method_keeps_scalar_api(self):
-        sampler = PathSampler(knuth_yao_die(), method="search")
-        assert sampler.paths(5, 4, rng=np.random.default_rng(0)).shape == (5, 5)
-        with pytest.raises(ValueError, match="alias"):
-            sampler.advance(np.array([0]), np.array([0.5]))
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            PathSampler(knuth_yao_die(), method="magic")
-
 
 class TestBatchTrialAgreement:
     PROPS = [
