@@ -38,6 +38,15 @@ is the victim:
     completed bit-identical to serial, and the store banked exactly
     one row per point.
 
+Then the push phase — work must reach an idle worker at once, not one
+heartbeat later:
+
+11. start ``repro-zoo serve --heartbeat 5 --workers 1 --store ...``;
+    after one untimed miss (the worker's first shard pays its imports)
+    two consecutive cold ``GET /guarantee`` misses must each reach
+    ``done`` within 1 s, although the worker's heartbeat is 5 s;
+12. SIGINT must stop serve and its worker within 3 s.
+
 Run from the repository root::
 
     PYTHONPATH=src python scripts/service_smoke.py
@@ -212,6 +221,72 @@ def _coordinator_crash_phase(env) -> None:
     print("coordinator crash phase OK: no orphans")
 
 
+def _alive(pid: int) -> bool:
+    """Running, and not a zombie (exited, not yet reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, IndexError):
+        return False
+
+
+def _push_phase(env) -> None:
+    """Cold misses finish in milliseconds with a 5 s heartbeat, and a
+    SIGINT stops serve and its parked worker at once."""
+    tmp = tempfile.mkdtemp(prefix="service-smoke-push-")
+    coord_port, http_port = free_port(), free_port()
+    address = f"127.0.0.1:{coord_port}"
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.zoo", "serve",
+         "--coordinator-port", str(coord_port), "--port", str(http_port),
+         "--heartbeat", "5", "--workers", "1",
+         "--store", os.path.join(tmp, "push.sqlite")],
+        env=env,
+    )
+    worker_pid = None
+    try:
+        deadline = time.time() + 60.0
+        while worker_pid is None and time.time() < deadline:
+            try:
+                workers = service_stats(address)["workers"]
+            except OSError:
+                workers = []
+            worker_pid = next((w["pid"] for w in workers if w["alive"]), None)
+            time.sleep(0.1)
+        assert worker_pid is not None, "serve --workers 1 never registered"
+        base = f"http://127.0.0.1:{http_port}"
+        for n in (9, 10, 11):
+            start = time.monotonic()
+            status, body = _get(f"{base}/guarantee?family=birth-death&n={n}")
+            assert status == 202, body
+            while True:
+                _status, job = _get(base + body["poll"])
+                elapsed = time.monotonic() - start
+                if job["done"] or elapsed > 30.0:
+                    break
+                time.sleep(0.01)
+            assert job["done"] and job["results"][0]["ok"], job
+            if n > 9:  # n=9 warmed the worker's imports
+                assert elapsed < 1.0, f"cold miss n={n} took {elapsed:.3f}s"
+                print(f"cold miss n={n} done in {elapsed * 1e3:.1f} ms"
+                      " with a 5 s heartbeat")
+        start = time.monotonic()
+        serve.send_signal(signal.SIGINT)
+        assert serve.wait(timeout=3.0) == 0
+        while _alive(worker_pid) and time.monotonic() - start < 3.0:
+            time.sleep(0.02)
+        assert not _alive(worker_pid), "worker outlived a SIGINTed serve"
+        print(f"SIGINT stopped serve and its worker in"
+              f" {(time.monotonic() - start) * 1e3:.0f} ms")
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait()
+        if worker_pid is not None and _alive(worker_pid):
+            os.kill(worker_pid, signal.SIGKILL)
+    print("push phase OK")
+
+
 def main() -> int:
     env = dict(os.environ)
     src_root = os.path.join(
@@ -359,6 +434,7 @@ def main() -> int:
     print("clean shutdown, no orphaned workers")
 
     _coordinator_crash_phase(env)
+    _push_phase(env)
     print("SERVICE SMOKE OK")
     return 0
 

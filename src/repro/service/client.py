@@ -1,9 +1,10 @@
-"""Client side of ``executor="remote"``: submit, poll, merge.
+"""Client side of ``executor="remote"``: submit, wait, merge.
 
 :func:`remote_sweep` is what :func:`repro.engine.sweep` calls when a
 sweep names the remote executor: the sweep function and point list are
 shipped to a coordinator, workers chew through shard leases, and the
-client polls until every global index is accounted for — as a decoded
+client waits at the coordinator for progress (each ``collect`` parks
+until more points land) until every global index is accounted for — as a decoded
 :class:`~repro.engine.SweepResult` streamed back by a worker, or as a
 quarantine record for a point that kept killing its workers.  The
 merge is by grid index, so the returned list is bit-identical to the
@@ -25,7 +26,7 @@ the typed :class:`~repro.service.wire.ServiceUnavailable`.  An
 application-level :class:`~repro.service.wire.RemoteError` (unknown
 job, salt mismatch) is *never* retried.  The budget is sized to ride
 through a coordinator crash + journal replay, so an in-flight
-``executor="remote"`` sweep keeps polling straight across the restart.
+``executor="remote"`` sweep keeps collecting straight across the restart.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ DEFAULT_CLIENT_RETRY = RetryPolicy(
     max_attempts=10, backoff=0.1, backoff_factor=2.0, max_backoff=3.0,
     jitter=0.25,
 )
+
+#: Longest one ``collect`` parks at the coordinator waiting for progress.
+_COLLECT_WAIT = 5.0
+
+#: Pause after a ``collect`` that came back early with no progress (a
+#: coordinator that ignores ``wait``), so such a client never spins.
+_NO_PROGRESS_PAUSE = 0.05
 
 
 def call_with_retry(
@@ -125,7 +133,6 @@ def remote_sweep(
     shard_size: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     deadline: Optional[DeadlinePolicy] = None,
-    poll: float = 0.05,
     timeout: Optional[float] = None,
     meta: Optional[Dict[str, Any]] = None,
     connect_retry: "RetryPolicy | int | None" = DEFAULT_CLIENT_RETRY,
@@ -137,7 +144,7 @@ def remote_sweep(
     lease budget that catches hung-but-heartbeating workers.
     ``timeout`` bounds the whole sweep — on expiry the job is cancelled
     and a ``TimeoutError`` raised.  ``connect_retry`` is the *transport*
-    budget for each coordinator round trip: polls ride through a
+    budget for each coordinator round trip: collects ride through a
     coordinator restart, and only an exhausted budget raises
     :class:`ServiceUnavailable`.
     """
@@ -166,14 +173,22 @@ def remote_sweep(
     job = submitted["job"]
     started = time.monotonic()
     snapshot: Dict[str, Any] = {}
+    seen = 0
     try:
         while True:
+            wait = _COLLECT_WAIT
+            if timeout is not None:
+                wait = max(0.0, min(wait, started + timeout - time.monotonic()))
+            asked = time.monotonic()
             snapshot = call_with_retry(
-                connect, {"type": "collect", "job": job}, retry=connect_retry
+                connect,
+                {"type": "collect", "job": job, "wait": wait, "since": seen},
+                retry=connect_retry,
+                timeout=wait + 30.0,
             )
             if snapshot.get("done"):
                 break
-            if timeout is not None and time.monotonic() - started > timeout:
+            if timeout is not None and time.monotonic() - started >= timeout:
                 call_with_retry(
                     connect,
                     {"type": "cancel", "job": job},
@@ -183,7 +198,11 @@ def remote_sweep(
                     f"remote sweep {job} incomplete after {timeout:.6g}s"
                     f" ({snapshot.get('completed', 0)}/{len(points)} points)"
                 )
-            time.sleep(poll)
+            completed = int(snapshot.get("completed", 0))
+            if completed <= seen:
+                early = wait - (time.monotonic() - asked)
+                time.sleep(max(0.0, min(early, _NO_PROGRESS_PAUSE)))
+            seen = completed
     except KeyboardInterrupt:
         try:
             snapshot = request(connect, {"type": "cancel", "job": job})

@@ -34,7 +34,18 @@ The coordinator itself never unpickles job payloads — it forwards
 opaque envelopes between client and workers.  All state lives behind
 one lock; requests are short (dict bookkeeping), so a plain
 :class:`socketserver.ThreadingTCPServer` front door is plenty even
-with dozens of workers polling.
+with dozens of workers connected.
+
+Push, not poll: a ``lease`` or ``collect`` message may carry a
+``wait`` (seconds).  The request then parks on one condition variable
+over that lock until it can be answered usefully — a shard to hand
+out, a directive for the worker, progress on the job — or the wait
+ends; every state change that could grant a lease or finish a point
+(``submit``, a merged result, a requeue, ``cancel``, ``kill``,
+``shutdown``) wakes the parked requests.  Work therefore starts
+within milliseconds of its submit, and a client learns of progress as
+it lands.  A message without ``wait`` is answered at once, as older
+peers expect.
 
 Durability — the coordinator itself may die.  Given a
 :class:`~repro.service.journal.JobJournal`, every submitted job,
@@ -53,6 +64,7 @@ into the new incarnation under a recycled worker id.
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import socketserver
@@ -163,6 +175,17 @@ class Job:
         return "queued" if self.pending else "running"
 
 
+def _wait_of(message: Dict[str, Any]) -> Optional[float]:
+    """The optional ``wait`` (seconds) of a lease or collect message."""
+    wait = message.get("wait")
+    if wait is None:
+        return None
+    try:
+        return max(0.0, float(wait))
+    except (TypeError, ValueError):
+        raise WireError(f"wait must be a number, got {wait!r}") from None
+
+
 class Coordinator:
     """Lease bookkeeping + fault recovery; serve it via
     :class:`CoordinatorServer` or drive :meth:`handle` directly.
@@ -215,6 +238,9 @@ class Coordinator:
         self.jobs: Dict[str, Job] = {}
         self.started = time.time()
         self._lock = threading.Lock()
+        # Parked lease and collect requests wait here; every state
+        # change that could answer one notifies it.
+        self._changed = threading.Condition(self._lock)
         self._counter = 0
         self._shutting_down = False
         if journal is not None and not isinstance(journal, JobJournal):
@@ -325,14 +351,40 @@ class Coordinator:
                     shard_size=job.shard_size,
                     meta=job.meta,
                 )
+            self._changed.notify_all()
             return job.id
 
-    def collect(self, job_id: str) -> Dict[str, Any]:
-        """Snapshot of one job: status plus every encoded result so far."""
+    def collect(
+        self,
+        job_id: str,
+        *,
+        wait: Optional[float] = None,
+        since: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        """Snapshot of one job: status plus every encoded result so far.
+
+        With ``wait`` (seconds) the call first blocks until more than
+        ``since`` points are complete (default: as many as when the
+        call arrived), the job is done or cancelled, the coordinator
+        shuts down, or the wait ends.
+        """
         with self._lock:
             job = self.jobs.get(job_id)
             if job is None:
                 raise WireError(f"unknown job {job_id!r}")
+            if wait is not None:
+                seen = job.completed if since is None else since
+                until = time.monotonic() + wait
+                while not (
+                    job.done
+                    or job.cancelled
+                    or job.completed > seen
+                    or self._shutting_down
+                ):
+                    remaining = until - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._changed.wait(remaining)
             return {
                 "type": "job",
                 "job": job.id,
@@ -358,6 +410,7 @@ class Coordinator:
             job.leases = {}
             if self.journal is not None:
                 self.journal.record_cancelled(job_id)
+            self._changed.notify_all()
         return self.collect(job_id)
 
     # -- fault recovery ----------------------------------------------------
@@ -403,6 +456,7 @@ class Coordinator:
             if self.journal is not None:
                 self.journal.record_quarantine(job.id, start, job.quarantined[start])
             self._maybe_finish(job)
+        self._changed.notify_all()
 
     def _maybe_finish(self, job: Job) -> None:
         # Called with the lock held; the callback runs without it so a
@@ -420,13 +474,23 @@ class Coordinator:
 
     # -- message handling (worker + client side) ---------------------------
 
-    def handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(
+        self,
+        message: Dict[str, Any],
+        *,
+        gone: Optional[Callable[[], bool]] = None,
+    ) -> Dict[str, Any]:
         """Dispatch one wire message to its handler; error replies for
-        anything malformed, so a confused peer cannot wedge the server."""
+        anything malformed, so a confused peer cannot wedge the server.
+
+        ``gone`` tells whether the requesting peer has hung up; a
+        parked lease checks it before granting work, so a worker that
+        died while parked is not handed a shard.
+        """
         handlers = {
             "register": self._on_register,
             "heartbeat": self._on_heartbeat,
-            "lease": self._on_lease,
+            "lease": functools.partial(self._on_lease, gone=gone),
             "result": self._on_result,
             "deregister": self._on_deregister,
             "submit": self._on_submit,
@@ -535,43 +599,63 @@ class Coordinator:
                 worker.deregistered = True
         return {"type": "ok"}
 
-    def _on_lease(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _on_lease(
+        self,
+        message: Dict[str, Any],
+        gone: Optional[Callable[[], bool]] = None,
+    ) -> Dict[str, Any]:
+        wait = _wait_of(message)
         with self._lock:
             fenced = self._fence(message)
             if fenced is not None:
                 return fenced
             worker = self._touch(str(message.get("worker")))
-            directive = self._directive(worker)
-            if directive is not None:
-                return directive
-            now = time.time()
-            for job in sorted(self.jobs.values(), key=lambda j: j.created):
-                if job.cancelled or not job.pending:
-                    continue
-                start, stop = job.pending.pop(0)
-                deadline = None
-                if job.point_budget is not None:
-                    deadline = now + job.point_budget * (stop - start) + self.lease_grace
-                lease = _Lease(
-                    id=self._next_id("lease-"),
-                    worker=worker.id,
-                    start=start,
-                    stop=stop,
-                    granted=now,
-                    deadline=deadline,
-                )
-                job.leases[lease.id] = lease
-                return {
-                    "type": "shard",
-                    "job": job.id,
-                    "lease": lease.id,
-                    "start": start,
-                    "stop": stop,
-                    "fn": job.fn,
-                    "retry": job.retry,
-                    "points": job.points[start:stop],
-                }
-            return {"type": "idle", "poll": self.heartbeat}
+            # Parked: heartbeats keep the worker alive meanwhile, so a
+            # wait of up to one heartbeat changes nothing for the reaper.
+            # Without a wait, the idle reply asks back after a heartbeat.
+            until = time.monotonic() + min(wait or 0.0, self.heartbeat)
+            idle = {"type": "idle", "poll": self.heartbeat if wait is None else 0}
+            while True:
+                if gone is not None and gone():
+                    return idle  # no one left to hand work to
+                reply = self._directive(worker) or self._grant(worker)
+                if reply is not None:
+                    return reply
+                remaining = until - time.monotonic()
+                if remaining <= 0:
+                    return idle
+                self._changed.wait(remaining)
+
+    def _grant(self, worker: WorkerInfo) -> Optional[Dict[str, Any]]:
+        """Lease the oldest job's next pending shard to ``worker``."""
+        now = time.time()
+        for job in sorted(self.jobs.values(), key=lambda j: j.created):
+            if job.cancelled or not job.pending:
+                continue
+            start, stop = job.pending.pop(0)
+            deadline = None
+            if job.point_budget is not None:
+                deadline = now + job.point_budget * (stop - start) + self.lease_grace
+            lease = _Lease(
+                id=self._next_id("lease-"),
+                worker=worker.id,
+                start=start,
+                stop=stop,
+                granted=now,
+                deadline=deadline,
+            )
+            job.leases[lease.id] = lease
+            return {
+                "type": "shard",
+                "job": job.id,
+                "lease": lease.id,
+                "start": start,
+                "stop": stop,
+                "fn": job.fn,
+                "retry": job.retry,
+                "points": job.points[start:stop],
+            }
+        return None
 
     def _on_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
@@ -600,6 +684,7 @@ class Coordinator:
                 worker.shards_done += 1
                 worker.points_done += len(results)
             self._maybe_finish(job)
+            self._changed.notify_all()
             directive = self._directive(worker)
             return directive or {"type": "ok"}
 
@@ -615,7 +700,14 @@ class Coordinator:
         return {"type": "submitted", "job": job_id}
 
     def _on_collect(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        return self.collect(str(message.get("job")))
+        since = message.get("since")
+        try:
+            since = None if since is None else int(since)
+        except (TypeError, ValueError):
+            raise WireError(f"since must be an integer, got {since!r}") from None
+        return self.collect(
+            str(message.get("job")), wait=_wait_of(message), since=since
+        )
 
     def _on_cancel(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return self.cancel(str(message.get("job")))
@@ -640,11 +732,13 @@ class Coordinator:
                 raise WireError(f"no live worker matches {target!r}")
             victim = victims[0]
             victim.kill_requested = True
+            self._changed.notify_all()
         return {"type": "ok", "worker": victim.id}
 
     def _on_shutdown(self, message: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
             self._shutting_down = True
+            self._changed.notify_all()
         return {"type": "ok"}
 
     # -- introspection -----------------------------------------------------
@@ -679,10 +773,26 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # one framed request, one framed reply
         try:
             message = recv_message(self.request)
-            reply = self.server.coordinator.handle(message)  # type: ignore[attr-defined]
+            reply = self.server.coordinator.handle(  # type: ignore[attr-defined]
+                message, gone=self._peer_gone
+            )
             send_message(self.request, reply)
         except (WireError, OSError):
             pass  # a peer that vanished mid-frame is the reaper's problem
+
+    def _peer_gone(self) -> bool:
+        """Has the peer hung up?  It sends one frame per connection, so
+        anything readable after that is its EOF (or a reset)."""
+        timeout = self.request.gettimeout()
+        self.request.setblocking(False)
+        try:
+            return not self.request.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return False  # nothing to read: still waiting for its reply
+        except OSError:
+            return True
+        finally:
+            self.request.settimeout(timeout)
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

@@ -10,7 +10,9 @@ server (hand-rolled GET parsing — no new dependencies) in front of the
     ``zoo.sweep`` would (family + parameter overrides + checking
     backend); the store is consulted under *the same* versioned cache
     key a local sweep uses.  A hit answers ``200`` immediately —
-    without touching the engine.  A miss is enqueued as a single-point
+    without touching the engine, and on the event loop itself: the
+    lookup is a pure read (one ``SELECT``), so it costs no thread
+    handoff.  A miss is enqueued as a single-point
     sweep job on the worker fleet and answered ``202`` with a
     ``/jobs/<id>`` polling URL; when the job lands, the result is
     banked, so the next query for that guarantee is a warm hit.
@@ -74,6 +76,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     429: "Too Many Requests",
+    500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
@@ -94,10 +97,12 @@ ROUTES = [
         "statuses": {
             200: "warm store hit, value served without touching the engine",
             202: "miss enqueued as a single-point job; poll /jobs/<id>",
-            400: "unknown family/backend, a bad theta/epsilon/delta/seed"
-                 " (not a number, or theta/epsilon/delta outside (0, 1)),"
-                 " a formula that does not parse (misses only), or sprt"
-                 " without theta",
+            400: "unknown family/backend, a parameter the family does"
+                 " not have (the error lists the valid ones), a text value"
+                 " for a numeric family parameter, a bad"
+                 " theta/epsilon/delta/seed (not a number, or"
+                 " theta/epsilon/delta outside (0, 1)), a formula that does"
+                 " not parse (misses only), or sprt without theta",
             429: "in-flight job table full; retry after Retry-After",
             503: "circuit breaker open (coordinator down); warm hits"
                  " still answer 200, retry after Retry-After",
@@ -141,7 +146,7 @@ ROUTES = [
         "statuses": {
             200: "the guarantee's banked trajectory across salts, in"
                  " insertion order",
-            400: "unknown family/backend",
+            400: "unknown family/backend, or a bad family parameter",
             503: "front-end running without a result store",
         },
         "summary": "Survey history of one guarantee across code"
@@ -293,6 +298,17 @@ class Frontend:
             for key, value in params.items()
             if key not in _RESERVED
         }
+        try:
+            fam.merged_params(point)
+        except ZooError as exc:
+            raise _BadRequest(str(exc)) from None
+        for key, value in point.items():
+            default = fam.defaults[key]
+            if isinstance(default, (int, float)) and isinstance(value, str):
+                raise _BadRequest(
+                    f"parameter {key!r} of family {family!r} must be a"
+                    f" number (default {default!r}), got {value!r}"
+                )
         return {
             "family": family,
             "formula": params.get("formula") or fam.default_property,
@@ -439,7 +455,15 @@ class Frontend:
             with self._lock:
                 self._inflight.pop(key, None)
 
-    def guarantee(self, params: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
+    def lookup(self, params: Dict[str, str]) -> Any:
+        """The ``/guarantee`` lookup step: parse, key, store read.
+
+        Returns ``(200, body)`` on a store hit, or the miss step as a
+        zero-argument callable answering 202/429/503 (or 400 for a
+        formula that does not parse); raises :class:`_BadRequest` for a
+        bad query.  A pure read, so the server runs it on its event
+        loop; only the miss step goes to a thread.
+        """
         query = self._parse_guarantee(params)
         scenario_id, fingerprint, hit = self._store_lookup(query)
         body = {
@@ -448,40 +472,41 @@ class Frontend:
             "backend": query["backend"],
             "point": query["point"],
         }
-        if hit is not None:
-            self.hits += 1
-            body.update(
-                value=_public_value(hit.value),
-                cached=True,
-                seconds=hit.seconds,
-                samples=hit.samples,
+        if hit is None:
+            return functools.partial(
+                self._miss, query, scenario_id, fingerprint, body
             )
-            return 200, body
+        self.hits += 1
+        body.update(
+            value=_public_value(hit.value),
+            cached=True,
+            seconds=hit.seconds,
+            samples=hit.samples,
+        )
+        return 200, body
+
+    def _miss(
+        self, query: Dict[str, Any], scenario_id: Any, fingerprint: Any,
+        body: Dict[str, Any],
+    ) -> Tuple[int, Dict[str, Any]]:
+        """The ``/guarantee`` miss step: enqueue the point as a job."""
         # Only a miss parses: a formula that cannot parse must not
         # become a job that fails later in a worker.
         try:
             parse_formula(query["formula"])
         except PctlSyntaxError as exc:
-            raise _BadRequest(f"bad formula: {exc}") from None
+            return 400, {"error": f"bad formula: {exc}"}
         self.misses += 1
         try:
             job_id = self._enqueue_guarantee(query, scenario_id, fingerprint)
-        except _Degraded as exc:
+        except (_Degraded, _Overloaded) as exc:
             self.shed += 1
             body.update(
                 cached=False,
                 error=str(exc),
                 retry_after=round(exc.retry_after, 3),
             )
-            return 503, body
-        except _Overloaded as exc:
-            self.shed += 1
-            body.update(
-                cached=False,
-                error=str(exc),
-                retry_after=round(exc.retry_after, 3),
-            )
-            return 429, body
+            return (503 if isinstance(exc, _Degraded) else 429), body
         body.update(cached=False, job=job_id, poll=f"/jobs/{job_id}")
         return 202, body
 
@@ -651,18 +676,35 @@ class Frontend:
         (serialized as JSON) for every route except ``/dashboard``,
         which returns the rendered HTML page as a string.
         """
+        response = self.resolve(method, target)
+        return response() if callable(response) else response
+
+    def resolve(self, method: str, target: str) -> Any:
+        """The pure-read part of :meth:`route`.
+
+        Answers a bad request and a ``/guarantee`` store hit as
+        ``(status, payload)``; everything else (a miss, every other
+        route) comes back as a zero-argument callable that produces
+        the response and may block.
+        """
         if method != "GET":
             return 400, {"error": f"only GET is served, not {method}"}
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
         params = dict(parse_qsl(parts.query, keep_blank_values=True))
+        if path == "/guarantee":
+            try:
+                return self.lookup(params)
+            except _BadRequest as exc:
+                return 400, {"error": str(exc)}
+        return functools.partial(self._dispatch, path, params)
+
+    def _dispatch(self, path: str, params: Dict[str, str]) -> Tuple[int, Any]:
         try:
             if path == "/healthz":
                 return self.healthz()
             if path == "/stats":
                 return self.stats_payload()
-            if path == "/guarantee":
-                return self.guarantee(params)
             if path == "/history":
                 return self.history(params)
             if path == "/dashboard":
@@ -677,9 +719,12 @@ class Frontend:
 class FrontendServer:
     """The asyncio HTTP server around a :class:`Frontend`.
 
-    Handlers run the (fast, lock-guarded) route logic in the default
-    thread-pool executor, so sqlite reads never stall the event loop.
-    ``serve_forever`` blocks the calling thread (the CLI);
+    A ``/guarantee`` store hit is answered on the event loop itself
+    (:meth:`Frontend.resolve`: parse, key, one ``SELECT``), with no
+    thread handoff; a miss and every other route run in the default
+    thread-pool executor, so coordinator calls and sqlite writes never
+    stall the loop.  An exception a route raises answers 500 with its
+    text.  ``serve_forever`` blocks the calling thread (the CLI);
     ``start_background`` runs the loop in a daemon thread and returns
     once the socket is listening (tests, embedded serving).
     """
@@ -706,21 +751,23 @@ class FrontendServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await asyncio.wait_for(reader.readline(), 10.0)
-            if not request_line:
-                return
+            # The whole request head in one read; GET bodies are ignored.
+            request = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 10.0)
             try:
-                method, target, _ = request_line.decode("latin-1").split(None, 2)
+                method, target, _ = request.decode("latin-1").split(None, 2)
             except ValueError:
                 method, target = "", "/"
-            while True:  # drain headers; GET bodies are ignored
-                line = await asyncio.wait_for(reader.readline(), 10.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
             loop = asyncio.get_running_loop()
-            status, payload = await loop.run_in_executor(
-                None, self.frontend.route, method, target
-            )
+            try:
+                response = self.frontend.resolve(method, target)
+                if callable(response):
+                    response = await loop.run_in_executor(None, response)
+                status, payload = response
+            except Exception as exc:  # noqa: BLE001 - answer, never drop
+                loop.call_exception_handler(
+                    {"message": f"route {target!r} raised", "exception": exc}
+                )
+                status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             # Routes answer dict payloads (JSON) or ready-rendered
             # text payloads (the HTML dashboard).
             if isinstance(payload, str):
@@ -746,7 +793,8 @@ class FrontendServer:
             ).encode("latin-1")
             writer.write(head + body)
             await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError):
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                asyncio.LimitOverrunError, ConnectionError):
             pass
         finally:
             writer.close()

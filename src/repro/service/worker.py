@@ -1,7 +1,9 @@
 """The sweep worker: pull leases, compute through the fabric, stream back.
 
 One worker process (``repro-zoo worker --connect HOST:PORT``) runs the
-loop: register with the coordinator, poll for a shard lease, decode
+loop: register with the coordinator, ask for a shard lease (an idle
+worker's request parks at the coordinator for up to one heartbeat and
+returns the moment work is submitted), decode
 the job's sweep function, run the shard through the *existing*
 fault-tolerant fabric (:func:`repro.engine.sweep._run_shard`, the
 process executor's work unit, so :class:`~repro.resilience.RetryPolicy`
@@ -39,7 +41,6 @@ import os
 import signal
 import socket
 import threading
-import time
 from typing import Any, Dict, Optional
 
 from ..resilience.policies import RetryPolicy
@@ -74,9 +75,10 @@ class Worker:
     name:
         Free-form worker name for ``/stats`` (default ``host:pid``).
     poll:
-        Idle re-poll interval when the coordinator has no work; the
-        coordinator's suggested interval (its heartbeat) wins when
-        longer.
+        Fallback delay before retrying a lease request that failed in
+        transport.  It is not an idle interval: an idle worker sleeps
+        the coordinator's ``poll`` hint, which is 0 after a parked
+        request and the heartbeat from an older coordinator.
     salt:
         Cache-key salt to register under (default: this code's store
         salt) — must match the coordinator's or registration fails.
@@ -237,13 +239,17 @@ class Worker:
                 if max_shards is not None and served >= max_shards:
                     break
                 try:
+                    # Park at the coordinator for up to one heartbeat;
+                    # the heartbeat thread keeps beating meanwhile.
                     reply = request(
                         self.connect,
                         {
                             "type": "lease",
                             "worker": self.worker_id,
                             "epoch": self.epoch,
+                            "wait": self.heartbeat_interval,
                         },
+                        timeout=self.heartbeat_interval + 30.0,
                     )
                 except RemoteError:
                     # Application-level rejection of a lease poll: our
@@ -280,7 +286,8 @@ class Worker:
                         break
                     continue
                 if kind != "shard":
-                    time.sleep(max(self.poll, float(reply.get("poll", 0.0))))
+                    if self._stop.wait(float(reply.get("poll", 0.0))):
+                        break
                     continue
                 result = self._compute_shard(reply)
                 served += 1

@@ -38,6 +38,13 @@ The store pickles by *location* (path, salt, timeout), not by
 connection: each unpickled copy — e.g. one per process-executor
 worker in a sharded survey — reopens its own connection lazily, which
 is exactly the safe way to share sqlite across processes.
+
+Reads are pure reads: a hit is one ``SELECT`` and never waits on
+another connection's write lock (the service answers warm hits on its
+event loop).  Hit counts accumulate in memory and are written by the
+next :meth:`~ResultStore.put`, by :meth:`~ResultStore.query` and
+:meth:`~ResultStore.stats`, or by :meth:`~ResultStore.close` — close a
+store to keep its counts.
 """
 
 from __future__ import annotations
@@ -386,6 +393,7 @@ class ResultStore:
         self.timeout = timeout
         self._lock = threading.Lock()
         self._conn: Optional[sqlite3.Connection] = None
+        self._hits: Dict[str, int] = {}  # key -> hits not yet written
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -431,10 +439,24 @@ class ResultStore:
         conn.commit()
 
     def close(self) -> None:
-        """Close the sqlite connection (reopened lazily on next use)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        """Write buffered hit counts, then close the sqlite connection
+        (reopened lazily on next use)."""
+        with self._lock:
+            if self._conn is not None:
+                self._flush_hits(self._conn)
+                self._conn.commit()
+                self._conn.close()
+                self._conn = None
+
+    def _flush_hits(self, conn: sqlite3.Connection) -> None:
+        """Add the buffered hit counts to their rows (lock held; the
+        caller commits)."""
+        if self._hits:
+            conn.executemany(
+                "UPDATE results SET hits = hits + ? WHERE key = ?",
+                [(count, key) for key, count in self._hits.items()],
+            )
+            self._hits.clear()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -453,6 +475,7 @@ class ResultStore:
         self.timeout = state["timeout"]
         self._lock = threading.Lock()
         self._conn = None
+        self._hits = {}
 
     # -- core API -------------------------------------------------------------
 
@@ -520,6 +543,7 @@ class ResultStore:
                     self.salt,
                 ),
             )
+            self._flush_hits(conn)
             conn.commit()
         return key
 
@@ -532,8 +556,9 @@ class ResultStore:
     ) -> Optional[StoredResult]:
         """Fetch one cached result, or ``None`` on a miss.
 
-        Hits bump the row's persistent ``hits`` counter (the ``store
-        stats`` "hits served" figure).
+        A pure read: each hit is counted in memory, and the next write
+        adds it to the row's ``hits`` (the ``store stats`` "hits
+        served" figure).
         """
         results = self.get_many([(scenario, formula, backend, config)])
         return results[0]
@@ -545,7 +570,7 @@ class ResultStore:
 
         ``queries`` is a sequence of ``(scenario, formula, backend,
         config)`` tuples; the result list is parallel to it, ``None``
-        where the store misses.
+        where the store misses.  Each row found counts one hit.
         """
         if not queries:
             return []
@@ -562,18 +587,16 @@ class ResultStore:
                 unique,
             ).fetchall()
             found = {row[0]: row for row in rows}
-            if found:
-                hit_marks = ",".join("?" * len(found))
-                conn.execute(
-                    f"UPDATE results SET hits = hits + 1"
-                    f" WHERE key IN ({hit_marks})",
-                    list(found),
-                )
-                conn.commit()
-        return [
-            self._row_to_result(found[key]) if key in found else None
-            for key in keys
-        ]
+            buffered = {key: self._hits.get(key, 0) for key in found}
+            for key, count in buffered.items():
+                self._hits[key] = count + 1
+        results: List[Optional[StoredResult]] = []
+        for key in keys:
+            result = self._row_to_result(found[key]) if key in found else None
+            if result is not None:
+                result.hits += buffered[key]  # hits as of this read
+            results.append(result)
+        return results
 
     @staticmethod
     def _row_to_result(row: Tuple) -> StoredResult:
@@ -615,7 +638,10 @@ class ResultStore:
             sql += " LIMIT ?"
             params.append(int(limit))
         with self._lock:
-            rows = self._connection().execute(sql, params).fetchall()
+            conn = self._connection()
+            self._flush_hits(conn)
+            conn.commit()
+            rows = conn.execute(sql, params).fetchall()
         return [self._row_to_result(row) for row in rows]
 
     # -- survey history (cross-salt) ------------------------------------------
@@ -781,6 +807,8 @@ class ResultStore:
         """Aggregate counters for the whole store file."""
         with self._lock:
             conn = self._connection()
+            self._flush_hits(conn)
+            conn.commit()
             entries, seconds, hits = conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(seconds), 0),"
                 " COALESCE(SUM(hits), 0) FROM results"

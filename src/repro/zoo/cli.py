@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import dataclasses
 import os
 import sys
@@ -161,12 +162,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _open_store(args: argparse.Namespace):
+    """The ``--store`` named on the command line (``None`` without
+    one), closed on exit so its buffered hit counts are written."""
     if getattr(args, "store", None) is None:
-        return None
+        yield None
+        return
     from ..store import ResultStore
 
-    return ResultStore(args.store)
+    with ResultStore(args.store) as store:
+        yield store
 
 
 def _parse_policies(args: argparse.Namespace):
@@ -199,24 +205,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     smc = SmcConfig(
         epsilon=args.epsilon, delta=args.delta, seed=args.seed
     )
-    store = _open_store(args)
     retry, deadline = _parse_policies(args)
-    results = _sweep(
-        args.family,
-        axes=axes or None,
-        points=[{}] if not axes else None,
-        formula=args.formula,
-        base_params=_parse_params(args.param),
-        backend=args.backend,
-        theta=args.theta,
-        smc=smc,
-        executor=args.executor,
-        shard_size=args.shard_size,
-        remote=args.connect,
-        store=store,
-        retry=retry,
-        deadline=deadline,
-    )
+    with _open_store(args) as store:
+        results = _sweep(
+            args.family,
+            axes=axes or None,
+            points=[{}] if not axes else None,
+            formula=args.formula,
+            base_params=_parse_params(args.param),
+            backend=args.backend,
+            theta=args.theta,
+            smc=smc,
+            executor=args.executor,
+            shard_size=args.shard_size,
+            remote=args.connect,
+            store=store,
+            retry=retry,
+            deadline=deadline,
+        )
     rows = []
     failures = 0
     hits = 0
@@ -243,12 +249,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    store = _open_store(args)
     retry, deadline = _parse_policies(args)
-    results = _survey(
-        tag=args.tag, backend=args.backend, executor=args.executor,
-        remote=args.connect, store=store, retry=retry, deadline=deadline,
-    )
+    with _open_store(args) as store:
+        results = _survey(
+            tag=args.tag, backend=args.backend, executor=args.executor,
+            remote=args.connect, store=store, retry=retry, deadline=deadline,
+        )
     rows = []
     failures = 0
     hits = 0
@@ -271,7 +277,11 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from ..store import ResultStore
 
-    store = ResultStore(args.store)
+    with ResultStore(args.store) as store:
+        return _store_command(args, store)
+
+
+def _store_command(args: argparse.Namespace, store: Any) -> int:
     if args.store_command == "stats":
         print(store.stats().describe())
         return 0
@@ -305,7 +315,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_history(args: argparse.Namespace) -> int:
     from ..store import ResultStore
 
-    store = ResultStore(args.store)
+    with ResultStore(args.store) as store:
+        return _history_command(args, store)
+
+
+def _history_command(args: argparse.Namespace, store: Any) -> int:
     if args.history_command == "list":
         stats = store.stats()
         salts = store.salts()
@@ -379,13 +393,17 @@ def _spawn_local_workers(address: str, count: int) -> List[Any]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    with _open_store(args) as store:
+        return _serve(args, store)
+
+
+def _serve(args: argparse.Namespace, store: Any) -> int:
     import signal
     import time
 
     from ..resilience import CircuitBreaker
     from ..service import CoordinatorServer, Frontend, FrontendServer
 
-    store = _open_store(args)
     server = CoordinatorServer(
         host=args.host, port=args.coordinator_port,
         heartbeat=args.heartbeat,
@@ -570,7 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--name", help="worker name for /stats (default host:pid)")
     p_worker.add_argument(
         "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="idle re-poll interval when the coordinator has no work",
+        help="delay before retrying a lease request the coordinator did"
+             " not answer (idle workers wait at the coordinator instead)",
     )
     p_worker.add_argument(
         "--max-shards", type=int, metavar="N",

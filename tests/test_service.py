@@ -525,10 +525,179 @@ class TestFleet:
             with pytest.raises(TimeoutError, match="incomplete"):
                 remote_sweep(
                     _square, [1, 2, 3],
-                    connect=server.address, timeout=0.3, poll=0.02,
+                    connect=server.address, timeout=0.3,
                 )
             stats = service_stats(server.address)
         assert stats["jobs"].get("cancelled") == 1
+
+
+class TestPush:
+    """Idle workers and waiting clients park at the coordinator, so work
+    and progress arrive as they happen, not one heartbeat or poll
+    later.  A heartbeat of 5 s makes any leftover polling obvious."""
+
+    @staticmethod
+    def _idle():
+        time.sleep(0.2)  # the registered worker's lease request finds no work
+
+    def test_push_latency_does_not_depend_on_the_heartbeat(self):
+        with _fleet(classes=(_TameWorker,), heartbeat=5.0) as (server, _workers):
+            self._idle()
+            for points in ([1, 2], [3, 4]):
+                start = time.monotonic()
+                results = remote_sweep(_square, points, connect=server.address)
+                assert time.monotonic() - start < 1.0
+                assert [r.value for r in results] == [p * p for p in points]
+
+    def test_kill_reaches_a_parked_worker(self):
+        with _fleet(classes=(_TameWorker,), heartbeat=5.0) as (server, workers):
+            self._idle()
+            start = time.monotonic()
+            kill_worker(server.address)
+            while not workers[0]._stop.is_set() and time.monotonic() - start < 5.0:
+                time.sleep(0.01)
+            assert workers[0]._stop.is_set()
+            assert time.monotonic() - start < 1.0
+
+    def test_stop_returns_with_a_parked_worker(self):
+        server = CoordinatorServer(port=0, heartbeat=5.0).start()
+        worker = _TameWorker(server.address, poll=0.02, name="parked")
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            self._idle()
+        finally:
+            start = time.monotonic()
+            server.stop()
+            stopped = time.monotonic() - start
+            worker.stop()
+            thread.join(timeout=5.0)
+        assert stopped < 1.0
+        assert not thread.is_alive()
+
+    def test_timeout_fires_on_time_with_no_workers(self):
+        with _fleet(classes=(), heartbeat=5.0) as (server, _workers):
+            start = time.monotonic()
+            with pytest.raises(TimeoutError, match="incomplete"):
+                remote_sweep(_square, [1, 2], connect=server.address, timeout=0.3)
+            assert time.monotonic() - start < 1.0
+
+    def test_lease_and_collect_without_wait_answer_at_once(self):
+        coord = Coordinator(salt="s", heartbeat=5.0)
+        worker = _register(coord)
+        start = time.monotonic()
+        idle = _handle(coord, {"type": "lease", "worker": worker})
+        assert idle == {"type": "idle", "poll": 5.0}
+        job = coord.submit({"enc": "x"}, [{"p": 0}])
+        snapshot = coord.handle({"type": "collect", "job": job})
+        assert snapshot["completed"] == 0 and not snapshot["done"]
+        assert time.monotonic() - start < 0.5
+
+    def test_parked_lease_is_woken_by_submit(self):
+        coord = Coordinator(salt="s", heartbeat=5.0)
+        worker = _register(coord)
+        box = {}
+        parked = threading.Thread(
+            target=lambda: box.update(
+                reply=_handle(coord, {"type": "lease", "worker": worker, "wait": 5.0})
+            )
+        )
+        parked.start()
+        time.sleep(0.05)
+        start = time.monotonic()
+        coord.submit({"enc": "x"}, [{"p": 0}])
+        parked.join(timeout=5.0)
+        assert not parked.is_alive()
+        assert time.monotonic() - start < 1.0
+        assert box["reply"]["type"] == "shard"
+
+    def test_parked_lease_ends_idle_with_no_poll(self):
+        coord = Coordinator(salt="s", heartbeat=0.05)
+        worker = _register(coord)
+        start = time.monotonic()
+        reply = _handle(coord, {"type": "lease", "worker": worker, "wait": 5.0})
+        # Parked for min(wait, heartbeat), then asked back at once.
+        assert reply == {"type": "idle", "poll": 0}
+        assert 0.04 <= time.monotonic() - start < 1.0
+
+    def test_collect_waits_for_progress_since_the_last_count(self):
+        coord = Coordinator(salt="s", heartbeat=5.0)
+        worker = _register(coord)
+        job = coord.submit({"enc": "x"}, [{"p": 0}, {"p": 1}], shard_size=1)
+        shard = _handle(coord, {"type": "lease", "worker": worker})
+        timer = threading.Timer(
+            0.1,
+            lambda: _handle(
+                coord,
+                {"type": "result", "worker": worker, "job": job,
+                 "lease": shard["lease"], "start": shard["start"],
+                 "results": ["r0"]},
+            ),
+        )
+        timer.start()
+        start = time.monotonic()
+        snapshot = coord.handle(
+            {"type": "collect", "job": job, "wait": 5.0, "since": 0}
+        )
+        timer.join()
+        assert snapshot["completed"] == 1 and not snapshot["done"]
+        assert time.monotonic() - start < 1.0
+        # Nothing more lands: the wait runs out and the snapshot is
+        # returned unchanged.
+        start = time.monotonic()
+        snapshot = coord.handle(
+            {"type": "collect", "job": job, "wait": 0.1, "since": 1}
+        )
+        assert snapshot["completed"] == 1
+        assert 0.09 <= time.monotonic() - start < 1.0
+
+    def test_no_wakeup_is_lost_under_contention(self):
+        """More parked workers than cores, a tiny switch interval, many
+        small jobs: a lost wakeup would cost a 5 s heartbeat."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _fleet(classes=(_TameWorker,) * 4, heartbeat=5.0) as (server, _):
+                self._idle()
+                start = time.monotonic()
+                for batch in range(5):
+                    points = list(range(batch * 8, batch * 8 + 8))
+                    results = remote_sweep(
+                        _square, points, connect=server.address, shard_size=1
+                    )
+                    assert [r.value for r in results] == [p * p for p in points]
+                assert time.monotonic() - start < 4.0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_gone_while_parked_gets_no_shard(self):
+        server = CoordinatorServer(port=0, heartbeat=5.0).start()
+        try:
+            coord = server.coordinator
+            worker = _register(coord)
+            sock = socket.create_connection((server.host, server.port))
+            wire.send_message(
+                sock,
+                {"type": "lease", "worker": worker, "epoch": coord.epoch,
+                 "wait": 5.0},
+            )
+            time.sleep(0.1)
+            sock.close()  # the parked worker dies
+            time.sleep(0.1)
+            job = coord.submit({"enc": "x"}, [{"p": 0}])
+            time.sleep(0.1)
+            assert coord.jobs[job].leases == {}
+            assert coord.jobs[job].pending == [(0, 1)]
+        finally:
+            server.stop(shutdown_workers=False)
+
+    def test_malformed_wait_is_an_error_reply(self):
+        coord = Coordinator(salt="s")
+        worker = _register(coord)
+        reply = _handle(coord, {"type": "lease", "worker": worker, "wait": "soon"})
+        assert reply["type"] == "error" and "wait" in reply["error"]
 
 
 class _FlakyOnce:
@@ -578,6 +747,9 @@ class TestFrontend:
             ("backend=sprt&theta=1.5", "theta"),
             ("formula=garbage(((", "formula"),
             ("formula=" + "!(" * 200 + "goal" + ")" * 200, "nests deeper"),
+            ("bogus=1", "valid: n, p_down, p_up"),
+            ("n=abc", "'n'"),
+            ("p_up=high", "'p_up'"),
         ],
     )
     def test_bad_guarantee_query_answers_400_without_a_job(self, query, needle):
@@ -594,12 +766,72 @@ class TestFrontend:
         coord = Coordinator(salt="s")
         with FrontendServer(Frontend(coord), port=0) as server:
             base = f"http://{server.address}/guarantee?family=birth-death"
-            for query in ("epsilon=0", "formula=garbage((("):
+            for query in ("epsilon=0", "formula=garbage(((", "bogus=1"):
                 with pytest.raises(urllib.error.HTTPError) as exc:
                     urllib.request.urlopen(f"{base}&{query}", timeout=10)
                 assert exc.value.code == 400
                 assert "error" in json.load(exc.value)
         assert coord.jobs == {}
+
+    @pytest.mark.parametrize(
+        "query, needle", [("bogus=1", "unknown parameter"), ("n=abc", "'n'")]
+    )
+    def test_bad_family_parameter_on_history_answers_400(self, query, needle):
+        front = Frontend(Coordinator(salt="s"), store=object())  # 400 first
+        status, body = front.route("GET", f"/history?family=birth-death&{query}")
+        assert status == 400 and needle in body["error"]
+
+    def test_route_that_raises_answers_500_over_http(self):
+        front = Frontend(Coordinator(salt="s"))
+
+        def broken(*_args):
+            raise RuntimeError("store went away")
+
+        front.healthz = broken  # a thread-pool route
+        front._store_lookup = broken  # the loop-served lookup
+        with FrontendServer(front, port=0) as server:
+            for path in ("/healthz", "/guarantee?family=birth-death"):
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    urllib.request.urlopen(
+                        f"http://{server.address}{path}", timeout=10
+                    )
+                assert exc.value.code == 500
+                assert "store went away" in json.load(exc.value)["error"]
+
+    def test_store_hit_resolves_without_a_thread(self, tmp_path):
+        with ResultStore(tmp_path / "loop.sqlite") as store:
+            zoo.sweep("birth-death", points=[{"n": 8}], store=store)
+            front = Frontend(Coordinator(salt="s"), store=store)
+            hit = front.resolve("GET", "/guarantee?family=birth-death&n=8")
+            assert hit[0] == 200 and hit[1]["cached"]
+            # A miss and every other route are deferred to a thread.
+            assert callable(front.resolve("GET", "/guarantee?family=birth-death&n=9"))
+            assert callable(front.resolve("GET", "/healthz"))
+
+    def test_warm_hit_answers_while_another_writer_holds_the_store(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "locked.sqlite"
+        with ResultStore(path) as store:
+            zoo.sweep("birth-death", points=[{"n": 8}], store=store)
+        store = ResultStore(path, timeout=5.0)
+        writer = sqlite3.connect(path)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            front = Frontend(Coordinator(salt="s"), store=store)
+            with FrontendServer(front, port=0) as server:
+                start = time.monotonic()
+                with urllib.request.urlopen(
+                    f"http://{server.address}/guarantee?family=birth-death&n=8",
+                    timeout=10,
+                ) as resp:
+                    assert resp.status == 200
+                    assert json.load(resp)["cached"]
+                assert time.monotonic() - start < 1.0
+        finally:
+            writer.rollback()
+            writer.close()
+            store.close()
 
     def test_healthz_degrades_on_dead_worker(self):
         coord = Coordinator(salt="s", heartbeat=0.1)

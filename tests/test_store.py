@@ -272,6 +272,98 @@ class TestResultStore:
         assert clone.get({"n": 1}, FORMULA).value == 0.5
 
 
+class TestReadOnlyHits:
+    """A hit is one SELECT: it never waits on another connection's write
+    lock, and its count reaches the file with the next write."""
+
+    def test_get_answers_while_another_writer_holds_the_lock(self, tmp_path):
+        import sqlite3
+        import time
+
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            store.put({"n": 1}, FORMULA, 0.5)
+        opened, fresh = ResultStore(path, timeout=5.0), ResultStore(path, timeout=5.0)
+        assert opened.get({"n": 1}, FORMULA).value == 0.5
+        writer = sqlite3.connect(path)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            for store in (opened, fresh):
+                start = time.monotonic()
+                assert store.get({"n": 1}, FORMULA).value == 0.5
+                assert time.monotonic() - start < 0.1
+        finally:
+            writer.rollback()
+            writer.close()
+        opened.close()
+        fresh.close()
+        assert ResultStore(path).stats().total_hits == 3
+
+    def test_buffered_hits_are_written_by_put_and_close(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        store.put({"n": 1}, FORMULA, 0.5)
+        assert store.get({"n": 1}, FORMULA).hits == 0
+        assert store.get({"n": 1}, FORMULA).hits == 1  # counts buffered ones
+        store.put({"n": 2}, FORMULA, 0.25)
+        assert ResultStore(path).stats().total_hits == 2
+        store.get({"n": 2}, FORMULA)
+        store.close()
+        assert ResultStore(path).stats().total_hits == 3
+
+    def test_concurrent_hits_are_all_counted(self, tmp_path):
+        import sys
+        import threading
+
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        store.put({"n": 1}, FORMULA, 0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [
+                threading.Thread(
+                    target=lambda: [store.get({"n": 1}, FORMULA) for _ in range(50)]
+                )
+                for _ in range(6)
+            ]
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=30.0)
+            assert not any(reader.is_alive() for reader in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
+        assert ResultStore(path).stats().total_hits == 300
+
+    def test_cli_sweep_twice_counts_the_second_runs_hits(self, tmp_path):
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        path = os.fspath(tmp_path / "cli.sqlite")
+        sweep_cmd = [
+            sys.executable, "-m", "repro.zoo", "sweep", "birth-death",
+            "-g", "n=4,6", "--store", path,
+        ]
+        for run in range(2):
+            done = subprocess.run(
+                sweep_cmd, env=env, capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+        assert "2 cache hits" in done.stdout
+        stats = subprocess.run(
+            [sys.executable, "-m", "repro.zoo", "store", "stats", "--store", path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert "entries: 2   hits served: 2" in stats.stdout, stats.stdout
+
+
 # ----------------------------------------------------------------------
 # Cross-process concurrent writers
 # ----------------------------------------------------------------------
