@@ -4,8 +4,8 @@ Tracks the claims of the sparse-algebra rewrite of
 ``repro.core.reductions`` on seeded ``random-sparse`` zoo chains
 (strongly lumpable by construction, so block counts are known):
 
-* ``coarsest_lumping`` at 10^4 states, both refinement strategies, vs
-  the retained pure-Python per-state reference — the acceptance bar is
+* ``coarsest_lumping`` at 10^4 states vs the retained pure-Python
+  per-state reference — the acceptance bar is
   >= 20x (measured well above), asserted at the end of the module with
   the measured ratio recorded in ``extra_info``;
 * ``quotient_by_partition(verify=True)`` at 10^4 states (aggregation +
@@ -16,9 +16,9 @@ Tracks the claims of the sparse-algebra rewrite of
 * a deep chain: a 20,000-state ``birth-death`` chain, which lumps to
   itself and, through the hop-distance seed, with no refinement round.
 
-Both strategies are asserted to produce *identical* partitions, and the
-vectorized partitions identical to the pure-Python reference — the
-benchmarks double as a correctness contract, like the SMC suite.
+The vectorized partition is asserted identical to the pure-Python
+reference — the benchmarks double as a correctness contract, like the
+SMC suite.
 
 CI runs this file separately into ``BENCH_reduce.json`` and feeds it to
 ``benchmarks/compare.py`` against ``benchmarks/baselines/``.
@@ -70,7 +70,7 @@ def _timed(label, fn):
 
 
 # ----------------------------------------------------------------------
-# Coarsest lumping at 10^4 states: python baseline vs both strategies.
+# Coarsest lumping at 10^4 states: python baseline vs vectorized.
 # ----------------------------------------------------------------------
 
 def test_bench_lump_python_baseline_1e4(benchmark, chain_1e4):
@@ -86,36 +86,15 @@ def test_bench_lump_python_baseline_1e4(benchmark, chain_1e4):
     assert int(block_of.max()) + 1 == BASELINE_BLOCKS
 
 
-def test_bench_lump_rounds_1e4(benchmark, chain_1e4):
-    """Vectorized global-fixpoint refinement (strategy="rounds")."""
-    block_of = benchmark(
-        _timed(
-            "rounds",
-            lambda: coarsest_lumping(
-                chain_1e4, respect=["goal"], strategy="rounds"
-            ),
-        )
-    )
-    assert int(block_of.max()) + 1 == BASELINE_BLOCKS
-
-
 def test_bench_lump_splitters_1e4(benchmark, chain_1e4):
-    """Vectorized splitter-queue refinement (strategy="splitters")."""
+    """Vectorized splitter-queue refinement."""
     block_of = benchmark(
         _timed(
             "splitters",
-            lambda: coarsest_lumping(
-                chain_1e4, respect=["goal"], strategy="splitters"
-            ),
+            lambda: coarsest_lumping(chain_1e4, respect=["goal"]),
         )
     )
     assert int(block_of.max()) + 1 == BASELINE_BLOCKS
-    # Contract riding with the benchmark: both strategies produce the
-    # identical canonical partition.
-    assert np.array_equal(
-        block_of,
-        coarsest_lumping(chain_1e4, respect=["goal"], strategy="rounds"),
-    )
 
 
 def test_bench_quotient_verify_1e4(benchmark, chain_1e4):
@@ -145,9 +124,7 @@ def test_lump_speedup_at_least_20x(benchmark, chain_1e4):
     vectorized = benchmark(
         _timed(
             "splitters",
-            lambda: coarsest_lumping(
-                chain_1e4, respect=["goal"], strategy="splitters"
-            ),
+            lambda: coarsest_lumping(chain_1e4, respect=["goal"]),
         )
     )
     if reference is None:
@@ -156,7 +133,6 @@ def test_lump_speedup_at_least_20x(benchmark, chain_1e4):
     speedup = python_seconds / _SECONDS["splitters"]
     benchmark.extra_info["python_seconds"] = python_seconds
     benchmark.extra_info["splitters_seconds"] = _SECONDS["splitters"]
-    benchmark.extra_info["rounds_seconds"] = _SECONDS.get("rounds")
     benchmark.extra_info["speedup_vs_python"] = speedup
     assert speedup >= 20.0, f"vectorized only {speedup:.1f}x faster"
 

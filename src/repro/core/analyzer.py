@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..dtmc import DTMC, assert_ergodic, reachability_iterations
-from ..engine import Engine, SmcConfig, SolverConfig, default_engine
-from ..pctl import ModelChecker
-from ..resilience.validate import ValidationWarning, validate_guarantee
+from ..engine import Engine, SmcConfig, SolverConfig, check_value, default_engine
+from ..resilience.validate import ValidationWarning, numeric_value, validate_guarantee
 from .metrics import (
     MetricSpec,
     average_case_error,
@@ -43,9 +42,9 @@ class Guarantee:
     Exact checks carry no sampling error: the value is exact for the
     model up to linear-algebra round-off, which is what the paper means
     by a statistical *guarantee*.  Statistical checks
-    (:meth:`PerformanceAnalyzer.check_statistical`) instead carry an
-    explicit ``(epsilon, delta)``-style guarantee; they are marked by a
-    nonzero ``samples`` count.
+    (:meth:`PerformanceAnalyzer.check` with ``backend="apmc"`` or
+    ``"sprt"``) instead carry an explicit ``(epsilon, delta)``-style
+    guarantee; they are marked by a nonzero ``samples`` count.
 
     ``backend`` and ``cache_hits`` record how the number was obtained:
     the engine's solver method (or ``"apmc"``/``"sprt"`` for
@@ -140,7 +139,6 @@ class PerformanceAnalyzer:
         self.chain = chain
         self.name = name
         self.engine = default_engine(solver, engine)
-        self.checker = ModelChecker(chain, engine=self.engine)
         self.history: List[Guarantee] = []
 
     # ------------------------------------------------------------------
@@ -202,18 +200,46 @@ class PerformanceAnalyzer:
     # ------------------------------------------------------------------
     # Checking
     # ------------------------------------------------------------------
-    def check(self, metric: Union[MetricSpec, str]) -> Guarantee:
-        """Check a metric spec or a raw pCTL property string."""
+    def check(
+        self,
+        metric: Union[MetricSpec, str],
+        *,
+        backend: str = "exact",
+        theta: Optional[float] = None,
+        smc: Optional[SmcConfig] = None,
+    ) -> Guarantee:
+        """Check a metric spec or a raw pCTL property string.
+
+        ``backend`` is one of :data:`repro.engine.CHECK_BACKENDS`, run
+        through :func:`repro.engine.check_value` with this analyzer's
+        engine.  ``"exact"`` (default) solves the model.  ``"apmc"``
+        estimates a bounded path metric instead (``value`` is the
+        estimate, within ``smc.epsilon`` with confidence
+        ``1 - smc.delta``); ``"sprt"`` decides ``P >= theta`` (``value``
+        is 1.0 on accept, 0.0 on reject).  Statistical checks draw from
+        ``smc.seed`` and share the chain's alias tables through the
+        engine; the returned :class:`Guarantee` records the sampled
+        paths drawn.
+        """
         if isinstance(metric, MetricSpec):
             name, prop = metric.name, metric.property_string
         else:
             name, prop = "pCTL", str(metric)
+        config = SmcConfig.coerce(smc)
         hits_before = self.engine.stats.cache_hits
         before = self.engine.stats.snapshot()
         start = time.perf_counter()
-        result = self.checker.check(prop)
+        result = check_value(
+            self.chain,
+            prop,
+            backend,
+            theta=theta,
+            smc=config,
+            engine=self.engine,
+            seed=config.seed,
+        )
         elapsed = time.perf_counter() - start
-        value = float(result.value)
+        value = numeric_value(result)
         guarantee = Guarantee(
             metric=name,
             property_string=prop,
@@ -221,8 +247,9 @@ class PerformanceAnalyzer:
             model_states=self.chain.num_states,
             model_transitions=self.chain.num_transitions,
             check_seconds=elapsed,
-            backend=self.engine.config.method,
+            backend=self.engine.config.method if backend == "exact" else backend,
             cache_hits=self.engine.stats.cache_hits - hits_before,
+            samples=getattr(result, "samples", 0),
             warnings=validate_guarantee(value, formula=prop),
             stationary=_stationary_path(before, self.engine.stats.snapshot()),
         )
@@ -243,73 +270,6 @@ class PerformanceAnalyzer:
         how many cached results it reused.
         """
         return [self.check(metric) for metric in metrics]
-
-    def check_statistical(
-        self,
-        metric: Union[MetricSpec, str],
-        *,
-        theta: Optional[float] = None,
-        smc: Optional[SmcConfig] = None,
-    ) -> Guarantee:
-        """Check a bounded path metric statistically instead of exactly.
-
-        Routes through the batched SMC layer with this analyzer's
-        engine, so the chain's alias tables are built once and shared
-        with later statistical checks.  Without ``theta`` the APMC
-        estimator runs (``value`` is the estimate, guaranteed within
-        ``smc.epsilon`` with confidence ``1 - smc.delta``); with
-        ``theta`` the SPRT decides ``P >= theta`` (``value`` is 1.0 on
-        accept, 0.0 on reject).  Either way the returned
-        :class:`Guarantee` records the backend and the sampled paths
-        drawn as provenance.
-        """
-        from ..smc import smc_decide, smc_estimate
-
-        if isinstance(metric, MetricSpec):
-            name, prop = metric.name, metric.property_string
-        else:
-            name, prop = "pCTL", str(metric)
-        config = SmcConfig.coerce(smc)
-        hits_before = self.engine.stats.cache_hits
-        start = time.perf_counter()
-        if theta is None:
-            result = smc_estimate(
-                self.chain,
-                prop,
-                epsilon=config.epsilon,
-                delta=config.delta,
-                seed=config.seed,
-                batch=config.batch,
-                engine=self.engine,
-            )
-            backend, value = "apmc", float(result.estimate)
-        else:
-            result = smc_decide(
-                self.chain,
-                prop,
-                theta=theta,
-                half_width=config.half_width,
-                alpha=config.alpha,
-                beta=config.beta,
-                seed=config.seed,
-                engine=self.engine,
-            )
-            backend, value = "sprt", float(result.accept)
-        elapsed = time.perf_counter() - start
-        guarantee = Guarantee(
-            metric=name,
-            property_string=prop,
-            value=value,
-            model_states=self.chain.num_states,
-            model_transitions=self.chain.num_transitions,
-            check_seconds=elapsed,
-            backend=backend,
-            cache_hits=self.engine.stats.cache_hits - hits_before,
-            samples=result.samples,
-            warnings=validate_guarantee(value, formula=prop),
-        )
-        self.history.append(guarantee)
-        return guarantee
 
     def best_case(self, horizon: int, flag: str = "flag") -> Guarantee:
         """P1 at the given horizon."""

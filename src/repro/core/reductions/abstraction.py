@@ -68,7 +68,7 @@ class QuotientResult:
     refinement:
         :class:`~repro.core.reductions.lumping.RefinementStats` when the
         partition came from :func:`~repro.core.reductions.lumping.lump`
-        (strategy, rounds, splitter counts); ``None`` otherwise.
+        (rounds, splitter counts); ``None`` otherwise.
     """
 
     chain: DTMC

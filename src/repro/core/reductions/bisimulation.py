@@ -32,16 +32,13 @@ def coarsest_bisimulation(
     chain: DTMC,
     respect: Optional[Sequence[str]] = None,
     decimals: int = 10,
-    strategy: str = "splitters",
 ) -> np.ndarray:
     """Coarsest probabilistic bisimulation partition of one chain.
 
     Alias of :func:`repro.core.reductions.lumping.coarsest_lumping`
     under its process-theoretic name.
     """
-    return coarsest_lumping(
-        chain, respect=respect, decimals=decimals, strategy=strategy
-    )
+    return coarsest_lumping(chain, respect=respect, decimals=decimals)
 
 
 def disjoint_union(first: DTMC, second: DTMC) -> DTMC:
@@ -91,7 +88,6 @@ def are_bisimilar(
     second: DTMC,
     respect: Optional[Sequence[str]] = None,
     decimals: int = 10,
-    strategy: str = "splitters",
 ) -> BisimulationResult:
     """Decide probabilistic bisimilarity of two labeled DTMCs.
 
@@ -121,9 +117,7 @@ def are_bisimilar(
             witness=f"the {empty} chain is empty, the other is not",
         )
     union = disjoint_union(first, second)
-    block_of = coarsest_lumping(
-        union, respect=respect, decimals=decimals, strategy=strategy
-    )
+    block_of = coarsest_lumping(union, respect=respect, decimals=decimals)
     n1 = first.num_states
     num_blocks = int(block_of.max()) + 1 if block_of.size else 0
     if num_blocks == 0:  # two empty chains: vacuously bisimilar

@@ -18,11 +18,10 @@ indicator ``B`` of the round's *dirty* blocks (states outside them get
 empty rows), rounded, each row hashed into two 64-bit SplitMix
 fingerprints of its ``(column, rounded value)`` entries in any order,
 leaving out entries that round to zero.  States regroup by ``(block,
-live entries, h1, h2)``.  The strategies differ only in which blocks
-are dirty — ``"rounds"``: all of them, every round; ``"splitters"``
-(default): the children of blocks that just split, Derisavi's
-worklist, batched (an unsplit block is stable with respect to every
-clean block).  Both return the same canonically-numbered partition.
+live entries, h1, h2)``.  The first round marks every block dirty;
+each later round marks the children of blocks that just split,
+Derisavi's worklist, batched (an unsplit block is stable with respect
+to every clean block).
 
 **Seed.**  A round-synchronous refiner needs a round per hop on a
 path-like chain (``n - 1`` for a birth-death chain that lumps to
@@ -63,15 +62,11 @@ from .abstraction import QuotientResult, _block_indicator, quotient_by_partition
 
 __all__ = [
     "RefinementStats",
-    "STRATEGIES",
     "initial_partition",
     "coarsest_lumping",
     "coarsest_lumping_with_stats",
     "lump",
 ]
-
-#: Refinement strategies accepted by :func:`coarsest_lumping`.
-STRATEGIES = ("rounds", "splitters")
 
 
 @dataclass(frozen=True)
@@ -80,13 +75,12 @@ class RefinementStats:
 
     ``rounds`` counts refinement iterations (signature passes);
     ``splitters`` counts the splitter blocks processed across all
-    iterations (in ``"rounds"`` mode: every block, every round).
+    iterations.
     ``initial_blocks`` counts the (label, reward) partition's blocks and
     ``seed_blocks`` the hop-distance seed's, or is ``None`` when no seed
     applied.
     """
 
-    strategy: str
     rounds: int
     splitters: int
     initial_blocks: int
@@ -218,7 +212,7 @@ def initial_partition(
 
 
 # ----------------------------------------------------------------------
-# Refinement strategies
+# Refinement
 # ----------------------------------------------------------------------
 
 def _refine(
@@ -226,7 +220,6 @@ def _refine(
     block_of: np.ndarray,
     decimals: int,
     max_rounds: Optional[int],
-    strategy: str,
 ) -> Tuple[np.ndarray, int, int]:
     """Split round by round until a round splits nothing; returns
     ``(block_of, rounds, splitters)``."""
@@ -241,11 +234,8 @@ def _refine(
         new_block_of, parent_of = _split_round(matrix, block_of, dirty, decimals)
         if parent_of.size == num_blocks:
             return block_of, rounds, splitters
-        if strategy == "rounds":
-            dirty = np.ones(parent_of.size, dtype=bool)
-        else:
-            split_parent = np.bincount(parent_of, minlength=num_blocks) > 1
-            dirty = split_parent[parent_of]
+        split_parent = np.bincount(parent_of, minlength=num_blocks) > 1
+        dirty = split_parent[parent_of]
         block_of = new_block_of
         num_blocks = parent_of.size
 
@@ -269,17 +259,11 @@ def coarsest_lumping_with_stats(
     respect: Optional[Sequence[str]] = None,
     decimals: int = 10,
     max_rounds: Optional[int] = None,
-    strategy: str = "splitters",
 ) -> Tuple[np.ndarray, RefinementStats]:
     """Coarsest lumping plus :class:`RefinementStats` provenance."""
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown refinement strategy {strategy!r};"
-            f" choose from {', '.join(STRATEGIES)}"
-        )
     block_of = initial_partition(chain, respect, decimals)
     if chain.num_states == 0:
-        return block_of, RefinementStats(strategy, 0, 0, 0, 0)
+        return block_of, RefinementStats(0, 0, 0, 0)
     initial_blocks = int(block_of.max()) + 1
     seeded = _hop_seed(chain, block_of, respect, decimals)
     seed_blocks = None if seeded is None else int(seeded.max()) + 1
@@ -291,10 +275,8 @@ def coarsest_lumping_with_stats(
             block_of if seeded is None else seeded,
             decimals,
             max_rounds,
-            strategy,
         )
     return block_of, RefinementStats(
-        strategy=strategy,
         rounds=rounds,
         splitters=splitters,
         initial_blocks=initial_blocks,
@@ -308,18 +290,14 @@ def coarsest_lumping(
     respect: Optional[Sequence[str]] = None,
     decimals: int = 10,
     max_rounds: Optional[int] = None,
-    strategy: str = "splitters",
 ) -> np.ndarray:
     """Coarsest strongly-lumpable partition respecting labels/rewards.
 
     Returns ``block_of`` suitable for
     :func:`~repro.core.reductions.abstraction.quotient_by_partition`.
-    ``strategy`` picks the refinement schedule (see the module docs);
-    both strategies return the same canonical partition.
     """
     block_of, _ = coarsest_lumping_with_stats(
-        chain, respect=respect, decimals=decimals,
-        max_rounds=max_rounds, strategy=strategy,
+        chain, respect=respect, decimals=decimals, max_rounds=max_rounds
     )
     return block_of
 
@@ -328,7 +306,6 @@ def lump(
     chain: DTMC,
     respect: Optional[Sequence[str]] = None,
     decimals: int = 10,
-    strategy: str = "splitters",
 ) -> QuotientResult:
     """Lump ``chain`` to its smallest equivalent quotient.
 
@@ -338,7 +315,7 @@ def lump(
     carries the refinement provenance on ``.refinement``.
     """
     block_of, stats = coarsest_lumping_with_stats(
-        chain, respect=respect, decimals=decimals, strategy=strategy
+        chain, respect=respect, decimals=decimals
     )
     atol = 10.0 ** (-decimals) * 10
     result = quotient_by_partition(chain, block_of, atol=atol, respect=respect)

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .sparse_utils import as_csr as _as_csr
 
@@ -108,34 +109,32 @@ def gauss_seidel_solve(
 ) -> np.ndarray:
     """Gauss-Seidel iteration for ``x = A x + b``.
 
-    In-place sweeps using already-updated components; typically
-    converges in roughly half the iterations Jacobi needs, at the cost
-    of a Python-level row loop (PRISM's favourite engine for DTMCs).
+    Each sweep updates the components in order, using those already
+    updated: with ``A = L + D + U`` (strictly lower, diagonal, strictly
+    upper), ``x <- (I - L - D)^-1 (U x + b)``, one sparse triangular
+    solve against a factorisation made once.  Typically converges in
+    roughly half the iterations Jacobi needs (PRISM's favourite engine
+    for DTMCs).
     """
     a = _as_csr(matrix)
     n = a.shape[0]
-    indptr, indices, data = a.indptr, a.indices, a.data
     diagonal = a.diagonal()
     if np.any(diagonal >= 1.0):
         raise SolverError("diagonal entry >= 1: system is singular")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    # Natural order and diagonal pivots keep the factor triangular.
+    lower = splu(
+        sparse.identity(n, format="csc") - sparse.tril(a, format="csc"),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+    )
+    upper = sparse.triu(a, k=1, format="csr")
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     for _ in range(max_iterations):
-        delta = 0.0
-        for i in range(n):
-            total = b[i]
-            dia = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j == i:
-                    dia = data[k]
-                else:
-                    total += data[k] * x[j]
-            new_value = total / (1.0 - dia)
-            delta = max(delta, abs(new_value - x[i]))
-            x[i] = new_value
-        if delta < tolerance:
-            return x
+        nxt = lower.solve(upper @ x + b)
+        if np.abs(nxt - x).max(initial=0.0) < tolerance:
+            return nxt
+        x = nxt
     raise SolverError(
         f"Gauss-Seidel did not converge in {max_iterations} iterations"
     )

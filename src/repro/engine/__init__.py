@@ -10,7 +10,9 @@ pays for its linear algebra once.
 
 :mod:`repro.engine.sweep` is the scenario fan-out companion: grids of
 design points (SNR, traceback length, quantizer levels) spread across
-threads, forked worker processes or a networked worker fleet.
+threads, forked worker processes or a networked worker fleet.  Its
+:func:`check_value` is the one exact/APMC/SPRT dispatch that sweeps,
+the fleet and :class:`repro.core.PerformanceAnalyzer` share.
 """
 
 from ..resilience import DeadlineExceeded, DeadlinePolicy, RetryPolicy, SweepReport
@@ -21,6 +23,7 @@ from .sweep import (
     EXECUTORS,
     SweepInterrupted,
     SweepResult,
+    check_value,
     grid,
     sweep,
     sweep_check,
@@ -42,6 +45,7 @@ __all__ = [
     "grid",
     "sweep",
     "sweep_check",
+    "check_value",
     "sweep_values",
     # fault-tolerance layer, re-exported for sweep call sites
     "RetryPolicy",

@@ -96,6 +96,7 @@ __all__ = [
     "sweep",
     "sweep_values",
     "sweep_check",
+    "check_value",
     "CHECK_BACKENDS",
     "EXECUTORS",
 ]
@@ -119,7 +120,7 @@ def validate_executor(executor: str, error: type = ValueError) -> None:
         )
 
 
-#: Checking backends of :func:`sweep_check`: the exact solver engine,
+#: Checking backends of :func:`check_value`: the exact solver engine,
 #: the Hoeffding estimator, and the sequential probability ratio test.
 CHECK_BACKENDS = ("exact", "apmc", "sprt")
 
@@ -721,6 +722,73 @@ def sweep(
     return results
 
 
+def validate_backend(backend: str, theta: Optional[float]) -> None:
+    """Reject an unknown checking backend, or SPRT without a threshold,
+    naming the choices."""
+    if backend not in CHECK_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {', '.join(CHECK_BACKENDS)}"
+        )
+    if backend == "sprt" and theta is None:
+        raise ValueError("backend='sprt' needs a threshold theta")
+
+
+def check_value(
+    chain,
+    formula,
+    backend: str,
+    *,
+    theta: Optional[float] = None,
+    smc: Optional[SmcConfig] = None,
+    solver=None,
+    engine=None,
+    seed=None,
+) -> Any:
+    """Check ``formula`` on ``chain`` with one of :data:`CHECK_BACKENDS`.
+
+    The one exact/APMC/SPRT dispatch: every :func:`sweep_check` point
+    (on any executor, the worker fleet and a ``/guarantee`` miss
+    included) and :meth:`repro.core.PerformanceAnalyzer.check` run
+    through it.  Returns the bare value :func:`sweep_check` documents:
+    the checked number for ``"exact"``, an
+    :class:`~repro.smc.ApmcResult` for ``"apmc"``, an
+    :class:`~repro.smc.SprtResult` of ``P >= theta`` for ``"sprt"``.
+
+    An exact check solves through ``engine`` or a private engine of
+    ``solver``, never both.  A statistical check takes its accuracy
+    from ``smc`` and draws from ``seed``; ``engine`` then shares the
+    chain's alias tables across checks.
+    """
+    # Imported per call: repro.smc/pctl import the engine package.
+    from ..pctl import check as exact_check
+    from ..smc import smc_decide, smc_estimate
+
+    validate_backend(backend, theta)
+    if backend == "exact":
+        return exact_check(chain, formula, engine=engine, config=solver).value
+    config = SmcConfig.coerce(smc)
+    if backend == "apmc":
+        return smc_estimate(
+            chain,
+            formula,
+            epsilon=config.epsilon,
+            delta=config.delta,
+            seed=seed,
+            batch=config.batch,
+            engine=engine,
+        )
+    return smc_decide(
+        chain,
+        formula,
+        theta=theta,
+        half_width=config.half_width,
+        alpha=config.alpha,
+        beta=config.beta,
+        seed=seed,
+        engine=engine,
+    )
+
+
 def _check_point(
     entry,
     *,
@@ -733,30 +801,14 @@ def _check_point(
     seeds,
 ) -> Any:
     """One :func:`sweep_check` point; module-level for picklability."""
-    # Imported lazily: repro.smc/pctl import the engine package.
-    from ..pctl import check as exact_check
-    from ..smc import smc_decide, smc_estimate
-
     index, point = entry
-    chain = build(point)
-    if backend == "exact":
-        return exact_check(chain, formula, config=solver).value
-    if backend == "apmc":
-        return smc_estimate(
-            chain,
-            formula,
-            epsilon=config.epsilon,
-            delta=config.delta,
-            seed=seeds[index],
-            batch=config.batch,
-        )
-    return smc_decide(
-        chain,
+    return check_value(
+        build(point),
         formula,
+        backend,
         theta=theta,
-        half_width=config.half_width,
-        alpha=config.alpha,
-        beta=config.beta,
+        smc=config,
+        solver=solver,
         seed=seeds[index],
     )
 
@@ -791,12 +843,12 @@ def sweep_check(
     retry: Union[RetryPolicy, int, None] = None,
     deadline: Union[DeadlinePolicy, float, None] = None,
     remote: Optional[str] = None,
-    validate: bool = True,
 ) -> List[SweepResult]:
     """Check one pCTL ``formula`` across a grid of models.
 
     ``build(point)`` constructs the DTMC of one scenario point; the
-    chosen ``backend`` then checks ``formula`` against it:
+    chosen ``backend`` then checks ``formula`` against it through
+    :func:`check_value`:
 
     ``"exact"``
         :func:`repro.pctl.check` through the solver engine (``solver``
@@ -824,6 +876,12 @@ def sweep_check(
     are solved once: duplicates reuse the first occurrence's result
     (and, for statistical backends, its seed stream).
 
+    The formula is parsed once, up front (a :class:`~repro.pctl.PctlSyntaxError`
+    raises before any store traffic or worker starts), and every point
+    is checked, keyed and banked under its canonical text
+    ``str(parse_formula(formula))``, so two spellings of one property
+    share one store row.
+
     With ``store=`` (a :class:`repro.store.ResultStore`) the sweep is
     read-through cached: each distinct point is first looked up under
     ``(store_key(point), formula, backend, config fingerprint)``; hits
@@ -843,20 +901,18 @@ def sweep_check(
     the missing and failed points.
 
     ``retry``/``deadline`` thread the fault-tolerance policies of
-    :mod:`repro.resilience` into the underlying runner.  With
-    ``validate=True`` (default) every emitted value is passed through
-    :func:`repro.resilience.validate_guarantee` and violations
-    (NaN/Inf, out-of-range probabilities) are attached to the result's
-    ``warnings`` — downgraded to structured records, never silently
-    accepted and never raised.
+    :mod:`repro.resilience` into the underlying runner.  Every emitted
+    value is passed through :func:`repro.resilience.validate_guarantee`
+    and violations (NaN/Inf, out-of-range probabilities) are attached
+    to the result's ``warnings`` — downgraded to structured records,
+    never silently accepted and never raised.
     """
-    if backend not in CHECK_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {', '.join(CHECK_BACKENDS)}"
-        )
+    from ..pctl import parse_formula  # deferred: repro.pctl imports the engine
+
+    validate_backend(backend, theta)
     validate_executor(executor)
-    if backend == "sprt" and theta is None:
-        raise ValueError("backend='sprt' needs a threshold theta")
+    tree = parse_formula(formula)
+    formula = str(tree)
     points = list(points)
     config = SmcConfig.coerce(smc)
     seeds = np.random.SeedSequence(config.seed).spawn(len(points))
@@ -895,6 +951,20 @@ def sweep_check(
                     cached=True,
                 )
 
+    def bank(index: int, result: SweepResult) -> None:
+        # Failures are never banked: a quarantined or timed-out point
+        # must be recomputed on the next run, not served as a warm hit.
+        if store is not None and result.ok:
+            store.put(
+                scenario_ids[index],
+                formula,
+                result.value,
+                backend=backend,
+                config=fingerprint,
+                seconds=result.seconds,
+                extra=store_extra,
+            )
+
     misses = [index for index in unique if index not in by_index]
     # partial over a module-level runner (not a closure) so
     # executor="process" can pickle the sweep function.
@@ -923,41 +993,19 @@ def sweep_check(
     except SweepInterrupted as interrupt:
         # Ctrl-C: bank every successful partial before propagating, so
         # a --store sweep resumes from exactly where it was cut off.
-        if store is not None:
-            for result in interrupt.partial:
-                if result.ok and isinstance(result.point, tuple):
-                    index = result.point[0]
-                    store.put(
-                        scenario_ids[index],
-                        formula,
-                        result.value,
-                        backend=backend,
-                        config=fingerprint,
-                        seconds=result.seconds,
-                        extra=store_extra,
-                    )
+        for result in interrupt.partial:
+            if isinstance(result.point, tuple):
+                bank(result.point[0], result)
         raise
     for index, result in zip(misses, computed):
+        bank(index, result)
         result.point = result.point[1]  # unwrap the (index, point) plumbing
         by_index[index] = result
-        # Failures are never banked: a quarantined or timed-out point
-        # must be recomputed on the next run, not served as a warm hit.
-        if store is not None and result.ok:
-            store.put(
-                scenario_ids[index],
-                formula,
-                result.value,
-                backend=backend,
-                config=fingerprint,
-                seconds=result.seconds,
-                extra=store_extra,
-            )
 
-    if validate:
-        kind = formula_kind(formula)
-        for result in by_index.values():
-            if result.ok:
-                result.warnings = validate_guarantee(result.value, kind=kind)
+    kind = formula_kind(tree)
+    for result in by_index.values():
+        if result.ok:
+            result.warnings = validate_guarantee(result.value, kind=kind)
 
     results = []
     for index, point in enumerate(points):

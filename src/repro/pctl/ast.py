@@ -160,7 +160,12 @@ class VarComparison(StateFormula):
         return bool(table[self.op])
 
     def __str__(self) -> str:
-        return f"{self.name}{self.op}{self.value:g}"
+        # Sweeps key and check a formula by this text, so it must parse
+        # back to the same value; ``:g`` alone keeps six digits.
+        text = f"{self.value:g}"
+        if float(text) != self.value:
+            text = repr(self.value)
+        return f"{self.name}{self.op}{text}"
 
 
 @dataclass(frozen=True)

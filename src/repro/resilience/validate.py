@@ -85,8 +85,9 @@ def numeric_value(value: Any) -> Optional[float]:
     return None
 
 
-def formula_kind(formula: Optional[str]) -> Optional[str]:
-    """``"probability"`` / ``"reward"`` / ``None`` for a pCTL string.
+def formula_kind(formula: Any) -> Optional[str]:
+    """``"probability"`` / ``"reward"`` / ``None`` for a pCTL string or
+    an already parsed formula tree.
 
     ``P=?`` and ``S=?`` queries are probability-valued (range-checked
     against ``[0, 1]``); ``R=?`` queries are rewards (range-checked
@@ -99,7 +100,7 @@ def formula_kind(formula: Optional[str]) -> Optional[str]:
         from ..pctl import parse_formula
         from ..pctl.ast import ProbQuery, RewardQuery, SteadyQuery
 
-        tree = parse_formula(formula)
+        tree = parse_formula(formula) if isinstance(formula, str) else formula
     except Exception:
         return None
     if isinstance(tree, (ProbQuery, SteadyQuery)):

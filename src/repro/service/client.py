@@ -143,9 +143,11 @@ def remote_sweep(
     process executor's contract); ``deadline`` becomes the per-point
     lease budget that catches hung-but-heartbeating workers.
     ``timeout`` bounds the whole sweep — on expiry the job is cancelled
-    and a ``TimeoutError`` raised.  ``connect_retry`` is the *transport*
-    budget for each coordinator round trip: collects ride through a
-    coordinator restart, and only an exhausted budget raises
+    and a ``TimeoutError`` raised.  A job that another client cancels
+    returns at once: finished points keep their values and every other
+    point fails with a ``Cancelled:`` error.  ``connect_retry`` is the
+    *transport* budget for each coordinator round trip: collects ride
+    through a coordinator restart, and only an exhausted budget raises
     :class:`ServiceUnavailable`.
     """
     points = list(points)
@@ -186,7 +188,7 @@ def remote_sweep(
                 retry=connect_retry,
                 timeout=wait + 30.0,
             )
-            if snapshot.get("done"):
+            if snapshot.get("done") or snapshot.get("status") == "cancelled":
                 break
             if timeout is not None and time.monotonic() - started >= timeout:
                 call_with_retry(
@@ -213,7 +215,15 @@ def remote_sweep(
             [partial[index] for index in sorted(partial)]
         ) from None
     merged = _merge(points, snapshot)
-    return [merged[index] for index in range(len(points))]
+    return [
+        merged[index] if index in merged else SweepResult(
+            point=points[index],
+            value=None,
+            seconds=0.0,
+            error=f"Cancelled: remote job {job} was cancelled",
+        )
+        for index in range(len(points))
+    ]
 
 
 def service_stats(

@@ -102,7 +102,7 @@ ROUTES = [
                  " for a numeric family parameter, a bad"
                  " theta/epsilon/delta/seed (not a number, or"
                  " theta/epsilon/delta outside (0, 1)), a formula that does"
-                 " not parse (misses only), or sprt without theta",
+                 " not parse, or sprt without theta",
             429: "in-flight job table full; retry after Retry-After",
             503: "circuit breaker open (coordinator down); warm hits"
                  " still answer 200, retry after Retry-After",
@@ -146,7 +146,8 @@ ROUTES = [
         "statuses": {
             200: "the guarantee's banked trajectory across salts, in"
                  " insertion order",
-            400: "unknown family/backend, or a bad family parameter",
+            400: "unknown family/backend, a bad family parameter, or a"
+                 " formula that does not parse",
             503: "front-end running without a result store",
         },
         "summary": "Survey history of one guarantee across code"
@@ -302,6 +303,14 @@ class Frontend:
             fam.merged_params(point)
         except ZooError as exc:
             raise _BadRequest(str(exc)) from None
+        # Canonical text, as sweep_check keys it: any spelling of one
+        # property hits the same row, and a formula that cannot parse
+        # never becomes a job that fails later in a worker.
+        formula = params.get("formula") or fam.default_property
+        try:
+            formula = str(parse_formula(formula))
+        except PctlSyntaxError as exc:
+            raise _BadRequest(f"bad formula: {exc}") from None
         for key, value in point.items():
             default = fam.defaults[key]
             if isinstance(default, (int, float)) and isinstance(value, str):
@@ -311,7 +320,7 @@ class Frontend:
                 )
         return {
             "family": family,
-            "formula": params.get("formula") or fam.default_property,
+            "formula": formula,
             "backend": backend,
             "theta": theta,
             "reduce": _literal(params.get("reduce", "True")) not in (False, 0, "false"),
@@ -459,10 +468,10 @@ class Frontend:
         """The ``/guarantee`` lookup step: parse, key, store read.
 
         Returns ``(200, body)`` on a store hit, or the miss step as a
-        zero-argument callable answering 202/429/503 (or 400 for a
-        formula that does not parse); raises :class:`_BadRequest` for a
-        bad query.  A pure read, so the server runs it on its event
-        loop; only the miss step goes to a thread.
+        zero-argument callable answering 202/429/503; raises
+        :class:`_BadRequest` for a bad query.  A pure read, so the
+        server runs it on its event loop; only the miss step goes to a
+        thread.
         """
         query = self._parse_guarantee(params)
         scenario_id, fingerprint, hit = self._store_lookup(query)
@@ -490,12 +499,6 @@ class Frontend:
         body: Dict[str, Any],
     ) -> Tuple[int, Dict[str, Any]]:
         """The ``/guarantee`` miss step: enqueue the point as a job."""
-        # Only a miss parses: a formula that cannot parse must not
-        # become a job that fails later in a worker.
-        try:
-            parse_formula(query["formula"])
-        except PctlSyntaxError as exc:
-            return 400, {"error": f"bad formula: {exc}"}
         self.misses += 1
         try:
             job_id = self._enqueue_guarantee(query, scenario_id, fingerprint)

@@ -41,7 +41,6 @@ from .result_store import (
     decode_value,
     encode_value,
     make_key,
-    read_through,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "decode_value",
     "make_key",
     "metric_of",
-    "read_through",
     "relative_drift",
 ]

@@ -21,7 +21,10 @@ A stored row is addressed by the SHA-256 of the canonical JSON of::
   ``ScenarioSpec.key()`` over the *fully merged* parameters plus the
   ``reduce`` flag, so ``points=[{}]`` and the spelled-out defaults hit
   the same row.
-* ``formula`` — the pCTL property string, verbatim.
+* ``formula`` — the pCTL property string as the caller passes it.
+  ``sweep_check`` and the service pass the canonical text
+  ``str(parse_formula(formula))``, so two spellings of one property
+  share a row.
 * ``backend`` — ``"exact"`` / ``"apmc"`` / ``"sprt"``.
 * ``config`` — the backend fingerprint from :func:`check_fingerprint`:
   solver method + tolerances for exact runs, ``(epsilon, delta, batch,
@@ -56,7 +59,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.analyzer import Guarantee
 from ..engine.config import SmcConfig, SolverConfig
@@ -82,7 +85,6 @@ __all__ = [
     "check_fingerprint",
     "encode_value",
     "decode_value",
-    "read_through",
 ]
 
 #: Bumped whenever the row schema or the value encoding changes; part
@@ -855,42 +857,3 @@ class ResultStore:
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r}, salt={self.salt!r})"
-
-
-def read_through(
-    store: ResultStore,
-    *,
-    key: Optional[Callable[[Any], Any]] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> Callable:
-    """Decorator binding ``store`` into a sweep-check-style callable.
-
-    The wrapped callable must accept the ``store=`` / ``store_key=`` /
-    ``store_extra=`` keywords of :func:`repro.engine.sweep_check`; the
-    decorator injects them (without overriding explicit arguments), so
-    every call reads hits from ``store`` and writes misses back::
-
-        from repro.engine import sweep_check
-        from repro.store import ResultStore, read_through
-
-        cached_check = read_through(ResultStore("results.sqlite"))(sweep_check)
-        results = cached_check(build, points, "P=? [ F<=10 flag ]")
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        """Bind the store (and key/extra hooks) into ``fn``'s kwargs."""
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            """``fn`` with the captured store defaults applied."""
-            kwargs.setdefault("store", store)
-            if key is not None:
-                kwargs.setdefault("store_key", key)
-            if extra is not None:
-                kwargs.setdefault("store_extra", extra)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -73,6 +73,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..engine import EXECUTORS, SmcConfig, SweepInterrupted
 from ..experiments.report import format_table
+from ..pctl import PctlSyntaxError
 from ..resilience import RetryPolicy, SweepReport
 from . import pipeline, registry
 from .sweep import survey as _survey
@@ -722,7 +723,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except registry.ZooError as exc:
+    except (registry.ZooError, PctlSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepInterrupted as interrupt:

@@ -143,9 +143,9 @@ class BuiltScenario:
     respect: Tuple[str, ...] = ("flag",)
     default_property: str = ""
     #: Free-form provenance; the lumping fallback records its partition
-    #: refinement here (``refine_strategy``, ``refine_rounds``,
-    #: ``refine_splitters``, ``refine_initial_blocks``,
-    #: ``refine_seed_blocks``, ``refine_final_blocks``).
+    #: refinement here (``refine_rounds``, ``refine_splitters``,
+    #: ``refine_initial_blocks``, ``refine_seed_blocks``,
+    #: ``refine_final_blocks``).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -172,8 +172,7 @@ class BuiltScenario:
         refine_s = ""
         if "refine_rounds" in self.extra:
             refine_s = (
-                f" refine({self.extra['refine_strategy']}:"
-                f" {self.extra['refine_rounds']} rounds,"
+                f" refine({self.extra['refine_rounds']} rounds,"
                 f" {self.extra['refine_splitters']} splitters)"
             )
         return (
@@ -266,7 +265,6 @@ def build(
             if quotient.refinement is not None:
                 stats = quotient.refinement
                 extra.update(
-                    refine_strategy=stats.strategy,
                     refine_rounds=stats.rounds,
                     refine_splitters=stats.splitters,
                     refine_initial_blocks=stats.initial_blocks,

@@ -96,7 +96,6 @@ def sweep(
     store=None,
     retry=None,
     deadline=None,
-    validate: bool = True,
 ) -> List[SweepResult]:
     """Check ``formula`` across a parameter grid of one family.
 
@@ -111,6 +110,8 @@ def sweep(
         dicts).
     formula:
         pCTL property; defaults to the family's ``default_property``.
+        Checked, keyed and banked under its canonical text, so any
+        spelling of one property hits the same store row.
     base_params:
         Overrides applied to *every* point (the grid's fixed plane).
     reduce:
@@ -134,13 +135,12 @@ def sweep(
         :class:`repro.engine.DeadlinePolicy`, or a bare attempt count /
         timeout in seconds) applied per point; see
         :mod:`repro.resilience`.
-    validate:
-        Run :func:`repro.resilience.validate_guarantee` on every
-        successful value, attaching ``SweepResult.warnings`` (default
-        on).
 
-    Returns the ordered :class:`~repro.engine.SweepResult` list; each
-    result's ``point`` is the per-point parameter dict.
+    Every successful value passes through
+    :func:`repro.resilience.validate_guarantee`, which attaches
+    ``SweepResult.warnings``.  Returns the ordered
+    :class:`~repro.engine.SweepResult` list; each result's ``point`` is
+    the per-point parameter dict.
     """
     fam = get_model(family)  # fail fast on unknown names
     validate_executor(executor, ZooError)
@@ -182,7 +182,6 @@ def sweep(
         store_extra={"family": family} if store is not None else None,
         retry=retry,
         deadline=deadline,
-        validate=validate,
     )
 
 

@@ -8,6 +8,7 @@ stationary-distribution guard.
 """
 
 import gc
+import time
 import warnings
 
 import numpy as np
@@ -198,6 +199,17 @@ class TestBackendAgreement:
         ]
         assert values == [np.inf] * 4
         assert check(leak_chain(0.0), "R=? [ F goal ]", config=method).value == 1.0
+
+    def test_gauss_seidel_reward_on_a_long_chain(self):
+        """Slowly draining: thousands of sweeps over 2000 states."""
+        from repro import zoo
+
+        chain = zoo.build("birth-death", {"n": 2000}, reduce=False).chain
+        start = time.perf_counter()
+        swept = check(chain, "R=? [ F goal ]", config="gauss-seidel").value
+        assert time.perf_counter() - start < 10.0
+        exact = check(chain, "R=? [ F goal ]", config="lu").value
+        assert swept == pytest.approx(exact, rel=1e-9)
 
     def test_reducible_prob01_structure(self):
         chain = reducible_chain()

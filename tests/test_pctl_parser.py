@@ -148,6 +148,8 @@ class TestErrors:
             "R=? [ I=300 ]",
             "P>=0.99 [ safe U<=10 goal ]",
             "S=? [ flag ]",
+            "P=? [ F errcnt>1234567 ]",
+            "P=? [ F errcnt<=0.1234567 ]",
         ]:
             formula = parse_formula(text)
             assert parse_formula(str(formula)) == formula

@@ -2,12 +2,14 @@
 
 Covers the sparse-algebra rewrite of ``repro.core.reductions``:
 
-* golden parity of both refinement strategies against the retained
+* golden parity of the vectorized refinement against the retained
   pure-Python reference, on small hypothesis chains and on larger
   seeded random-sparse chains;
 * permutation invariance — relabeling states must permute the blocks,
   never change them;
 * ``decimals`` rounding edge cases near block boundaries;
+* the permutation and rounding cases on each refinement schedule in
+  ``SCHEDULES``;
 * 0-state / 0-block regression cases (empty quotients, empty
   bisimilarity);
 * input validation of ``initial_partition`` / ``quotient_by_partition``
@@ -37,7 +39,12 @@ from repro.dtmc import DTMC, dtmc_from_dict
 
 from helpers import knuth_yao_die, random_dtmcs, two_state_chain
 
-STRATEGIES = ("rounds", "splitters")
+#: The refinement schedules under test, by name.  ``"splitters"`` is the
+#: vectorized refiner, which re-signs only the children of blocks that
+#: just split; ``"rounds"`` is the pure-Python reference, which re-signs
+#: every block every round.  Both must return the same canonical
+#: partition, so the edge cases below run on each.
+SCHEDULES = {"rounds": _coarsest_lumping_reference, "splitters": coarsest_lumping}
 
 
 def empty_chain() -> DTMC:
@@ -58,7 +65,7 @@ def random_sparse_chain(n=400, num_blocks=20, seed=3) -> DTMC:
 
 
 # ----------------------------------------------------------------------
-# Golden parity: vectorized strategies vs pure-Python reference
+# Golden parity: vectorized refinement vs pure-Python reference
 # ----------------------------------------------------------------------
 
 class TestGoldenParity:
@@ -66,30 +73,19 @@ class TestGoldenParity:
     @settings(max_examples=30, deadline=None)
     def test_small_random_chains_match_reference(self, chain):
         reference = _coarsest_lumping_reference(chain)
-        for strategy in STRATEGIES:
-            assert np.array_equal(
-                coarsest_lumping(chain, strategy=strategy), reference
-            )
+        assert np.array_equal(coarsest_lumping(chain), reference)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_sparse_chains_match_reference(self, seed):
         chain = random_sparse_chain(seed=seed)
         reference = _coarsest_lumping_reference(chain, respect=["goal"])
-        for strategy in STRATEGIES:
-            assert np.array_equal(
-                coarsest_lumping(chain, respect=["goal"], strategy=strategy),
-                reference,
-            )
+        assert np.array_equal(coarsest_lumping(chain, respect=["goal"]), reference)
 
-    def test_strategies_agree_respecting_rewards(self):
+    def test_respecting_rewards_matches_reference(self):
         chain = random_sparse_chain()
-        partitions = [
-            coarsest_lumping(chain, respect=["block"], strategy=strategy)
-            for strategy in STRATEGIES
-        ]
-        assert np.array_equal(partitions[0], partitions[1])
         assert np.array_equal(
-            partitions[0], _coarsest_lumping_reference(chain, respect=["block"])
+            coarsest_lumping(chain, respect=["block"]),
+            _coarsest_lumping_reference(chain, respect=["block"]),
         )
 
     def test_canonical_numbering_is_first_seen(self):
@@ -99,10 +95,6 @@ class TestGoldenParity:
         first_seen = [int(block_of[np.flatnonzero(block_of == b)[0]])
                       for b in range(int(block_of.max()) + 1)]
         assert first_seen == sorted(first_seen)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown refinement strategy"):
-            coarsest_lumping(two_state_chain(), strategy="magic")
 
     def test_max_rounds_enforced(self):
         # The die needs 3 refinement rounds when respecting "done".
@@ -118,9 +110,9 @@ class TestGoldenParity:
 # ----------------------------------------------------------------------
 
 class TestPermutationInvariance:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_blocked_permutation_invariance(self, strategy, seed):
+    def test_blocked_permutation_invariance(self, schedule, seed):
         """Relabeling states permutes the partition, never changes it."""
         chain = random_sparse_chain(n=300, num_blocks=15, seed=seed)
         rng = np.random.default_rng(seed + 100)
@@ -136,8 +128,9 @@ class TestPermutationInvariance:
             labels={k: np.asarray(p @ v, dtype=bool) for k, v in chain.labels.items()},
             rewards={k: np.asarray(p @ v) for k, v in chain.rewards.items()},
         )
-        original = coarsest_lumping(chain, respect=["goal"], strategy=strategy)
-        shuffled = coarsest_lumping(permuted, respect=["goal"], strategy=strategy)
+        refine = SCHEDULES[schedule]
+        original = refine(chain, respect=["goal"])
+        shuffled = refine(permuted, respect=["goal"])
         # Same number of blocks, and i ~ j iff perm[i] ~ perm[j].
         assert int(original.max()) == int(shuffled.max())
         pulled_back = shuffled[perm]
@@ -179,23 +172,24 @@ class TestDecimalsEdgeCases:
             labels={"sink": ["c"]},
         )
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_sub_rounding_difference_is_merged(self, strategy):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_sub_rounding_difference_is_merged(self, schedule):
         chain = self._near_tie_chain(1e-12)
-        block_of = coarsest_lumping(chain, strategy=strategy, decimals=10)
+        block_of = SCHEDULES[schedule](chain, decimals=10)
         assert block_of[0] == block_of[1]
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_supra_rounding_difference_splits(self, strategy):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_supra_rounding_difference_splits(self, schedule):
+        refine = SCHEDULES[schedule]
         chain = self._near_tie_chain(1e-12)
-        block_of = coarsest_lumping(chain, strategy=strategy, decimals=14)
+        block_of = refine(chain, decimals=14)
         assert block_of[0] != block_of[1]
         coarse = self._near_tie_chain(1e-4)
-        block_of = coarsest_lumping(coarse, strategy=strategy, decimals=10)
+        block_of = refine(coarse, decimals=10)
         assert block_of[0] != block_of[1]
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_mass_rounding_to_zero_is_dropped(self, strategy):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_mass_rounding_to_zero_is_dropped(self, schedule):
         """A residual 1e-14 edge must not distinguish otherwise-equal states."""
         tiny = 1e-14
         matrix = sparse.csr_matrix(
@@ -209,7 +203,7 @@ class TestDecimalsEdgeCases:
             )
         )
         chain = DTMC(matrix, 0, labels={"end": np.array([0, 0, 1, 1], dtype=bool)})
-        block_of = coarsest_lumping(chain, strategy=strategy, decimals=10)
+        block_of = SCHEDULES[schedule](chain, decimals=10)
         assert block_of[0] == block_of[1]
 
     def test_negative_zero_rewards_do_not_split(self):
@@ -236,8 +230,7 @@ class TestEmptyChains:
     def test_empty_initial_partition_and_lumping(self):
         chain = empty_chain()
         assert initial_partition(chain).shape == (0,)
-        for strategy in STRATEGIES:
-            assert coarsest_lumping(chain, strategy=strategy).shape == (0,)
+        assert coarsest_lumping(chain).shape == (0,)
 
     def test_empty_lump(self):
         result = lump(empty_chain())
@@ -326,17 +319,12 @@ class TestVectorizedVerification:
 
 class TestProvenance:
     def test_with_stats_reports_rounds_and_splitters(self):
-        chain = knuth_yao_die()
-        for strategy in STRATEGIES:
-            block_of, stats = coarsest_lumping_with_stats(
-                chain, respect=["done"], strategy=strategy
-            )
-            assert isinstance(stats, RefinementStats)
-            assert stats.strategy == strategy
-            assert stats.rounds >= 1
-            assert stats.splitters >= stats.initial_blocks
-            assert stats.initial_blocks == 2
-            assert stats.final_blocks == int(block_of.max()) + 1 == 5
+        block_of, stats = coarsest_lumping_with_stats(knuth_yao_die(), respect=["done"])
+        assert isinstance(stats, RefinementStats)
+        assert stats.rounds >= 1
+        assert stats.splitters >= stats.initial_blocks
+        assert stats.initial_blocks == 2
+        assert stats.final_blocks == int(block_of.max()) + 1 == 5
 
     def test_lump_attaches_refinement(self):
         result = lump(knuth_yao_die(), respect=["done"])
@@ -346,7 +334,6 @@ class TestProvenance:
     def test_pipeline_records_refinement_in_extra(self):
         scenario = zoo.build("random-sparse", {"n": 64, "num_blocks": 8})
         assert scenario.reduction == "lumping"
-        assert scenario.extra["refine_strategy"] == "splitters"
         assert scenario.extra["refine_rounds"] >= 1
         assert scenario.extra["refine_splitters"] >= 1
         assert scenario.extra["refine_final_blocks"] == scenario.reduced_states
@@ -406,16 +393,12 @@ class TestHopSeed:
     @settings(max_examples=40, deadline=None)
     def test_seeded_partition_matches_reference(self, case):
         chain, respect = case
-        reference = _coarsest_lumping_reference(chain, respect=respect)
-        for strategy in STRATEGIES:
-            block_of, stats = coarsest_lumping_with_stats(
-                chain, respect=respect, strategy=strategy
-            )
-            assert np.array_equal(block_of, reference)
-            assert stats.seed_blocks is not None
-            assert stats.initial_blocks <= stats.seed_blocks <= stats.final_blocks
-            if stats.seed_blocks == chain.num_states:
-                assert stats.rounds == stats.splitters == 0
+        block_of, stats = coarsest_lumping_with_stats(chain, respect=respect)
+        assert np.array_equal(block_of, _coarsest_lumping_reference(chain, respect=respect))
+        assert stats.seed_blocks is not None
+        assert stats.initial_blocks <= stats.seed_blocks <= stats.final_blocks
+        if stats.seed_blocks == chain.num_states:
+            assert stats.rounds == stats.splitters == 0
 
     def test_birth_death_lumps_to_itself_without_rounds(self):
         scenario = zoo.build("birth-death", {"n": 64})
@@ -424,8 +407,8 @@ class TestHopSeed:
         assert scenario.extra["refine_rounds"] == 0
 
     @pytest.mark.parametrize("tiny", [1e-11, 1e-14])
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_sub_rounding_entry_disables_seed(self, tiny, strategy):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_sub_rounding_entry_disables_seed(self, tiny, schedule):
         """State 1 reaches ``end`` in one hop only over a ``tiny`` edge
         that rounds to zero, so it lumps with state 0 (two hops): a hop
         seed would wrongly split them."""
@@ -440,9 +423,8 @@ class TestHopSeed:
             )
         )
         chain = DTMC(matrix, 0, labels={"end": np.array([0, 0, 0, 1], dtype=bool)})
-        block_of, stats = coarsest_lumping_with_stats(
-            chain, strategy=strategy, decimals=10
-        )
+        _, stats = coarsest_lumping_with_stats(chain, decimals=10)
         assert stats.seed_blocks is None
+        block_of = SCHEDULES[schedule](chain, decimals=10)
         assert block_of[0] == block_of[1]
-        assert np.array_equal(block_of, _coarsest_lumping_reference(chain))
+        assert block_of.tolist() == [0, 0, 1, 2]

@@ -718,12 +718,6 @@ class TestSweepCheckValidation:
         )
         assert results[0].warnings == ()
 
-    def test_validate_off_attaches_nothing(self, monkeypatch):
-        results = self._patched_results(
-            monkeypatch, float("nan"), validate=False
-        )
-        assert results[0].warnings == ()
-
     def test_clean_sweep_has_no_warnings(self):
         results = sweep_check(
             _tiny_chain, [{"p": 0.2}], FORMULA, executor="serial"

@@ -35,6 +35,7 @@ import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -530,6 +531,26 @@ class TestFleet:
             stats = service_stats(server.address)
         assert stats["jobs"].get("cancelled") == 1
 
+    def test_remote_sweep_returns_when_cancelled_elsewhere(self):
+        with _fleet(classes=()) as (server, _workers):  # no workers at all
+            def cancel_soon():
+                time.sleep(0.3)
+                (job,) = list(server.coordinator.jobs)
+                wire.request(server.address, {"type": "cancel", "job": job})
+
+            canceller = threading.Thread(target=cancel_soon)
+            canceller.start()
+            start = time.monotonic()
+            results = remote_sweep(
+                _square, [1, 2], connect=server.address, timeout=3.0
+            )
+            elapsed = time.monotonic() - start
+            canceller.join()
+        assert elapsed < 1.0
+        assert [r.ok for r in results] == [False, False]
+        assert all(r.error.startswith("Cancelled:") for r in results)
+        assert [r.point for r in results] == [1, 2]
+
 
 class TestPush:
     """Idle workers and waiting clients park at the coordinator, so work
@@ -774,7 +795,12 @@ class TestFrontend:
         assert coord.jobs == {}
 
     @pytest.mark.parametrize(
-        "query, needle", [("bogus=1", "unknown parameter"), ("n=abc", "'n'")]
+        "query, needle",
+        [
+            ("bogus=1", "unknown parameter"),
+            ("n=abc", "'n'"),
+            ("formula=garbage(((", "bad formula"),
+        ],
     )
     def test_bad_family_parameter_on_history_answers_400(self, query, needle):
         front = Frontend(Coordinator(salt="s"), store=object())  # 400 first
@@ -807,6 +833,20 @@ class TestFrontend:
             # A miss and every other route are deferred to a thread.
             assert callable(front.resolve("GET", "/guarantee?family=birth-death&n=9"))
             assert callable(front.resolve("GET", "/healthz"))
+
+    def test_compact_formula_spelling_hits_the_banked_row(self, tmp_path):
+        with ResultStore(tmp_path / "canon.sqlite") as store:
+            zoo.sweep(
+                "birth-death", points=[{"n": 8}], formula="P=? [ F<=30 goal ]",
+                store=store, executor="serial",
+            )
+            front = Frontend(Coordinator(salt="s"), store=store)
+            compact = urllib.parse.quote("P=?[F<=30 goal]")
+            status, body = front.route(
+                "GET", f"/guarantee?family=birth-death&n=8&formula={compact}"
+            )
+        assert status == 200 and body["cached"]
+        assert body["formula"] == "P=? [ F<=30 goal ]"
 
     def test_warm_hit_answers_while_another_writer_holds_the_store(self, tmp_path):
         import sqlite3

@@ -219,19 +219,28 @@ class TestEngineAndSweepIntegration:
 
     def test_analyzer_statistical_guarantee_provenance(self):
         analyzer = PerformanceAnalyzer(knuth_yao_die(), "die")
-        guarantee = analyzer.check_statistical(
-            "P=? [ F<=3 done ]", smc=SmcConfig(epsilon=0.02, delta=0.05)
+        guarantee = analyzer.check(
+            "P=? [ F<=3 done ]", backend="apmc",
+            smc=SmcConfig(epsilon=0.02, delta=0.05),
         )
         assert guarantee.backend == "apmc"
         assert guarantee.samples > 0
         assert not guarantee.is_exact
         assert abs(guarantee.value - 0.75) <= 0.02
-        decision = analyzer.check_statistical("P=? [ F<=3 done ]", theta=0.6)
+        decision = analyzer.check("P=? [ F<=3 done ]", backend="sprt", theta=0.6)
         assert decision.backend == "sprt"
         assert decision.value == 1.0
         # Both checks shared one alias-table build through the engine.
         assert analyzer.engine.stats.sampler_builds == 1
         assert "samples" in str(guarantee)
+
+    def test_analyzer_rejects_bad_backend_arguments(self):
+        analyzer = PerformanceAnalyzer(knuth_yao_die(), "die")
+        with pytest.raises(ValueError, match="exact, apmc, sprt"):
+            analyzer.check("P=? [ F<=3 done ]", backend="psychic")
+        with pytest.raises(ValueError, match="theta"):
+            analyzer.check("P=? [ F<=3 done ]", backend="sprt")
+        assert analyzer.history == []
 
     def test_exact_guarantee_reports_exact(self):
         analyzer = PerformanceAnalyzer(knuth_yao_die(), "die")

@@ -38,7 +38,6 @@ from repro.store import (
     StoreError,
     check_fingerprint,
     make_key,
-    read_through,
 )
 
 FORMULA = "P=? [ F<=50 goal ]"
@@ -637,20 +636,26 @@ class TestSweepCheckStore:
                 executor="serial", store=store, on_error="raise",
             )
 
-    def test_read_through_decorator_binds_store(self, tmp_path):
-        store = ResultStore(tmp_path / "s.sqlite")
-        cached_check = read_through(store)(sweep_check)
-        cold = cached_check(_tiny_chain, [{"p": 0.25}], FORMULA, executor="serial")
-        warm = cached_check(_tiny_chain, [{"p": 0.25}], FORMULA, executor="serial")
-        assert cold[0].cached is False and warm[0].cached is True
-        assert warm[0].value == cold[0].value
-
 
 # ----------------------------------------------------------------------
 # zoo.sweep integration: merged-spec keys, cold/warm equivalence
 # ----------------------------------------------------------------------
 
 class TestZooSweepStore:
+    def test_two_spellings_of_one_formula_share_one_row(self, tmp_path):
+        with ResultStore(tmp_path / "canon.sqlite") as store:
+            first = zoo.sweep(
+                "birth-death", points=[{}], formula="P=?[F<=30 goal]",
+                store=store, executor="serial",
+            )
+            second = zoo.sweep(
+                "birth-death", points=[{}], formula="P=? [ F<=30 goal ]",
+                store=store, executor="serial",
+            )
+            assert len(store) == 1
+        assert not first[0].cached and second[0].cached
+        assert second[0].value == first[0].value
+
     def test_cold_vs_warm_equivalence_exact(self, tmp_path):
         store = ResultStore(tmp_path / "z.sqlite")
         axes = {"n": [8, 12, 16], "p_up": [0.25, 0.35]}

@@ -388,6 +388,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "n=8" in out and "n=12" in out and "0 failed" in out
 
+    def test_sweep_bad_formula_exits_two(self, capsys):
+        code = zoo_main(
+            ["sweep", "birth-death", "--formula", "P=? [ F<= goal",
+             "--executor", "serial"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_sweep_sprt_without_theta_is_friendly(self, capsys):
         code = zoo_main(
             ["sweep", "viterbi-memory-m", "--backend", "sprt"]
