@@ -56,6 +56,56 @@ def test_bench_bounded_property(benchmark, viterbi_chain):
     assert 0 <= value <= 1
 
 
+def test_bounded_reachability_kernel_speedup_at_least_3x(benchmark):
+    """A machine-independent guard on the step kernel: 100 steps of
+    ``P=? [ F<=100 goal ]`` on the 16-state ``birth-death`` chain through
+    :func:`bounded_reachability` against the same recurrence written
+    with ``P @ x``.  Both are timed on the same host, interleaved, so
+    the ratio holds on shared runners where wall-clock baselines drift.
+    """
+    from repro import zoo
+    from repro.dtmc import bounded_reachability
+
+    chain = zoo.build("birth-death", {"n": 16}, reduce=False).chain
+    matrix = chain.transition_matrix
+    goal = chain.labels["goal"]
+    may_pass = ~goal
+
+    def matmul_loop():
+        x = goal.astype(np.float64)
+        for _ in range(100):
+            x = np.where(goal, 1.0, np.where(may_pass, matrix @ x, 0.0))
+        return x
+
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    kernel_seconds, matmul_seconds = [], []
+
+    def alternate():
+        # Interleaved about every millisecond (one `@` loop costs about
+        # five kernel loops), so a slow spell of the host lands on both
+        # sides; each side keeps its best call.
+        for _ in range(200):
+            for _ in range(5):
+                kernel_seconds.append(
+                    timed(lambda: bounded_reachability(chain, goal, 100))
+                )
+            matmul_seconds.append(timed(matmul_loop))
+
+    benchmark.pedantic(alternate, rounds=1, iterations=1)
+    np.testing.assert_array_equal(
+        bounded_reachability(chain, goal, 100), matmul_loop()
+    )
+    speedup = min(matmul_seconds) / min(kernel_seconds)
+    benchmark.extra_info["kernel_seconds"] = min(kernel_seconds)
+    benchmark.extra_info["matmul_seconds"] = min(matmul_seconds)
+    benchmark.extra_info["speedup_vs_matmul"] = speedup
+    assert speedup >= 3.0, f"step kernel only {speedup:.1f}x faster than P @ x"
+
+
 def test_bench_steady_state(benchmark, viterbi_chain):
     pi = benchmark(lambda: stationary_distribution(viterbi_chain))
     assert pi.sum() == pytest.approx(1.0)

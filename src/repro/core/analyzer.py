@@ -22,7 +22,13 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..dtmc import DTMC, assert_ergodic, reachability_iterations
 from ..engine import Engine, SmcConfig, SolverConfig, check_value, default_engine
-from ..resilience.validate import ValidationWarning, numeric_value, validate_guarantee
+from ..pctl import parse_formula
+from ..resilience.validate import (
+    ValidationWarning,
+    formula_kind,
+    numeric_value,
+    validate_guarantee,
+)
 from .metrics import (
     MetricSpec,
     average_case_error,
@@ -225,13 +231,15 @@ class PerformanceAnalyzer:
             name, prop = metric.name, metric.property_string
         else:
             name, prop = "pCTL", str(metric)
+        # Parsed once: the check and the range validation share the tree.
+        tree = parse_formula(prop)
         config = SmcConfig.coerce(smc)
         hits_before = self.engine.stats.cache_hits
         before = self.engine.stats.snapshot()
         start = time.perf_counter()
         result = check_value(
             self.chain,
-            prop,
+            tree,
             backend,
             theta=theta,
             smc=config,
@@ -250,7 +258,7 @@ class PerformanceAnalyzer:
             backend=self.engine.config.method if backend == "exact" else backend,
             cache_hits=self.engine.stats.cache_hits - hits_before,
             samples=getattr(result, "samples", 0),
-            warnings=validate_guarantee(value, formula=prop),
+            warnings=validate_guarantee(value, kind=formula_kind(tree)),
             stationary=_stationary_path(before, self.engine.stats.snapshot()),
         )
         self.history.append(guarantee)

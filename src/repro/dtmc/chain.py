@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 from scipy import sparse
 
-from .sparse_utils import DTMCValidationError, as_csr
+from .sparse_utils import DTMCValidationError, as_csr, matvec_step
 
 __all__ = ["DTMC", "DTMCValidationError", "dtmc_from_dict"]
 
@@ -115,7 +115,8 @@ class DTMC:
                 )
         if not np.isfinite(self.initial_distribution).all():
             raise DTMCValidationError("initial distribution has NaN/inf entries")
-        row_sums = np.asarray(self.transition_matrix.sum(axis=1)).ravel()
+        row_sums = np.zeros(n)
+        matvec_step(self.transition_matrix)(np.ones(n), row_sums)
         bad = np.where(~(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE))[0]
         if bad.size:
             raise DTMCValidationError(

@@ -60,7 +60,7 @@ def power_solve(
     b = np.asarray(b, dtype=np.float64)
     for _ in range(max_iterations):
         nxt = a @ x + b
-        if np.abs(nxt - x).max() < tolerance:
+        if np.abs(nxt - x).max(initial=0.0) < tolerance:
             return nxt
         x = nxt
     raise SolverError(
@@ -92,7 +92,7 @@ def jacobi_solve(
     b = np.asarray(b, dtype=np.float64)
     for _ in range(max_iterations):
         nxt = scale * (off @ x + b)
-        if np.abs(nxt - x).max() < tolerance:
+        if np.abs(nxt - x).max(initial=0.0) < tolerance:
             return nxt
         x = nxt
     raise SolverError(

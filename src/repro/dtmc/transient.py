@@ -7,7 +7,11 @@ reachability probabilities.
 
 All routines work with a *distribution row vector* ``pi`` and iterate
 ``pi <- pi @ P`` with the sparse transition matrix; cost is
-``O(T * nnz(P))`` and no matrix powers are ever formed.  An optional
+``O(T * nnz(P))`` and no matrix powers are ever formed.  Each step is
+one call of the compiled kernel behind ``@``
+(:func:`~repro.dtmc.sparse_utils.vecmat_step` /
+:func:`~repro.dtmc.sparse_utils.matvec_step`) into buffers allocated
+once per call, so the results are bit-identical to ``@``.  An optional
 :class:`repro.engine.Engine` can be passed; transient iteration has no
 factorizations to share, so the engine's role here is provenance — it
 accounts the matrix-vector products performed on its behalf.
@@ -20,6 +24,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .chain import DTMC
+from .sparse_utils import matvec_step, step_vector, vecmat_step
 
 __all__ = [
     "distribution_at",
@@ -51,12 +56,15 @@ def distribution_at(
     """
     if t < 0:
         raise ValueError(f"time bound must be non-negative, got {t}")
-    pi = np.array(
-        chain.initial_distribution if initial is None else initial, dtype=np.float64
+    pi = step_vector(
+        chain.initial_distribution if initial is None else initial, chain.num_states
     )
-    matrix = chain.transition_matrix
+    step = vecmat_step(chain.transition_matrix)
+    spare = np.empty_like(pi)
     for _ in range(t):
-        pi = pi @ matrix
+        spare.fill(0.0)
+        step(pi, spare)
+        pi, spare = spare, pi
     _account(engine, t)
     return pi
 
@@ -69,13 +77,16 @@ def distribution_trajectory(
     engine=None,
 ) -> Iterator[np.ndarray]:
     """Yield the distribution at steps ``0, 1, ..., horizon`` lazily."""
-    pi = np.array(
-        chain.initial_distribution if initial is None else initial, dtype=np.float64
+    pi = step_vector(
+        chain.initial_distribution if initial is None else initial, chain.num_states
     )
-    matrix = chain.transition_matrix
+    step = vecmat_step(chain.transition_matrix)
+    spare = np.empty_like(pi)
     yield pi.copy()
     for _ in range(horizon):
-        pi = pi @ matrix
+        spare.fill(0.0)
+        step(pi, spare)
+        pi, spare = spare, pi
         _account(engine, 1)
         yield pi.copy()
 
@@ -101,11 +112,14 @@ def cumulative_reward(
     """Expected total reward accumulated over steps ``0 .. t-1``: ``R=? [ C<=t ]``."""
     vec = chain.reward_vector(reward) if isinstance(reward, str) else np.asarray(reward)
     total = 0.0
-    pi = np.array(chain.initial_distribution, dtype=np.float64)
-    matrix = chain.transition_matrix
+    pi = step_vector(chain.initial_distribution, chain.num_states)
+    step = vecmat_step(chain.transition_matrix)
+    spare = np.empty_like(pi)
     for _ in range(t):
         total += float(pi @ vec)
-        pi = pi @ matrix
+        spare.fill(0.0)
+        step(pi, spare)
+        pi, spare = spare, pi
     _account(engine, t)
     return total
 
@@ -138,17 +152,25 @@ def bounded_reachability(
     be passed through); by default every state may be traversed.
     Returns the full solution vector; dot with an initial distribution
     for the from-initial value.
+
+    Each step is one kernel call over the may-pass rows only, into an
+    accumulator seeded with ``[target]``: target and avoid rows sum
+    nothing, and may-pass rows start from ``0.0`` exactly as ``P @ x``
+    does, so ``x`` is bit-identical to
+    ``np.where(target, 1, np.where(may_pass, P @ x, 0))``.
     """
     target = np.asarray(target, dtype=bool)
-    n = chain.num_states
     if avoid is None:
         may_pass = ~target
     else:
         may_pass = ~target & ~np.asarray(avoid, dtype=bool)
-    x = target.astype(np.float64)
-    matrix = chain.transition_matrix
+    seed = step_vector(target, chain.num_states)
+    step = matvec_step(chain.transition_matrix, may_pass)
+    x, spare = seed.copy(), np.empty_like(seed)
     for _ in range(t):
-        x = np.where(target, 1.0, np.where(may_pass, matrix @ x, 0.0))
+        np.copyto(spare, seed)
+        step(x, spare)
+        x, spare = spare, x
     _account(engine, t)
     return x
 

@@ -813,6 +813,46 @@ def _check_point(
     )
 
 
+def check_job(
+    build: Callable[[Any], Any],
+    tree,
+    count: int,
+    *,
+    backend: str,
+    theta: Optional[float],
+    smc: SmcConfig,
+    solver,
+) -> functools.partial:
+    """The sweep function of one check over a grid of ``count`` points.
+
+    The one builder of the point job, shared by :func:`sweep_check`
+    and the service's ``/guarantee`` misses, so both ship the same
+    job.  It is a partial over the module-level :func:`_check_point`
+    (looked up at call time, so a patched one takes effect) and
+    carries the parsed formula ``tree``, so no point re-parses it.
+    Statistical backends get one seed stream per grid index, spawned
+    from ``smc.seed``; an exact job ships ``[None] * count``, since an
+    exact check reads no seed (a worker running an older
+    ``_check_point`` still indexes the list).
+    """
+    if backend == "exact":
+        seeds = [None] * count
+    else:
+        seeds = np.random.SeedSequence(smc.seed).spawn(count)
+    # partial over a module-level runner (not a closure) so
+    # executor="process" and the fleet can pickle the sweep function.
+    return functools.partial(
+        _check_point,
+        build=build,
+        formula=tree,
+        backend=backend,
+        theta=theta,
+        config=smc,
+        solver=solver,
+        seeds=seeds,
+    )
+
+
 def _canonical_point(point: Any) -> str:
     """Canonical text identity of one point, for duplicate detection.
 
@@ -877,10 +917,10 @@ def sweep_check(
     (and, for statistical backends, its seed stream).
 
     The formula is parsed once, up front (a :class:`~repro.pctl.PctlSyntaxError`
-    raises before any store traffic or worker starts), and every point
-    is checked, keyed and banked under its canonical text
-    ``str(parse_formula(formula))``, so two spellings of one property
-    share one store row.
+    raises before any store traffic or worker starts): every point is
+    checked against that tree, and keyed and banked under its canonical
+    text ``str(parse_formula(formula))``, so two spellings of one
+    property share one store row.
 
     With ``store=`` (a :class:`repro.store.ResultStore`) the sweep is
     read-through cached: each distinct point is first looked up under
@@ -915,7 +955,6 @@ def sweep_check(
     formula = str(tree)
     points = list(points)
     config = SmcConfig.coerce(smc)
-    seeds = np.random.SeedSequence(config.seed).spawn(len(points))
 
     # Deduplicate: each distinct canonical point is solved exactly once,
     # at its first grid index (which also pins its spawned seed stream).
@@ -966,17 +1005,9 @@ def sweep_check(
             )
 
     misses = [index for index in unique if index not in by_index]
-    # partial over a module-level runner (not a closure) so
-    # executor="process" can pickle the sweep function.
-    run = functools.partial(
-        _check_point,
-        build=build,
-        formula=formula,
-        backend=backend,
-        theta=theta,
-        config=config,
-        solver=solver,
-        seeds=seeds,
+    run = check_job(
+        build, tree, len(points),
+        backend=backend, theta=theta, smc=config, solver=solver,
     )
     try:
         computed = sweep(

@@ -30,6 +30,7 @@ from typing import Any, Iterable, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..dtmc import DTMC
+from ..dtmc.sparse_utils import matvec_step, step_vector
 from ..dtmc.transient import (
     bounded_invariance,
     bounded_reachability,
@@ -346,11 +347,16 @@ class ModelChecker:
             window = self._unbounded_until(left, right)
         if lower == 0:
             return window
-        value = window
-        matrix = chain.transition_matrix
-        left_f = left.astype(np.float64)
+        # Ramp steps ``left * (P @ value)`` as the CSR of the `left`
+        # rows into a zeroed buffer: the same bits for the finite,
+        # non-negative vectors seen here.
+        step = matvec_step(chain.transition_matrix, left)
+        value = step_vector(window, chain.num_states)
+        spare = np.empty_like(value)
         for _ in range(lower):
-            value = left_f * (matrix @ value)
+            spare.fill(0.0)
+            step(value, spare)
+            value, spare = spare, value
         self.engine.count_matvecs(lower)
         return value
 
@@ -392,20 +398,10 @@ class ModelChecker:
         rho = self._reward_vector(reward)
         if isinstance(path, Instantaneous):
             # Per-state vector: expected reward t steps after starting there.
-            pi_t = rho.copy()
-            matrix = chain.transition_matrix
-            for _ in range(path.time):
-                pi_t = matrix @ pi_t
-            self.engine.count_matvecs(path.time)
-            return pi_t
+            return self._reward_steps(rho, path.time, None)
         if isinstance(path, Cumulative):
             total = np.zeros(chain.num_states)
-            current = rho.copy()
-            matrix = chain.transition_matrix
-            for _ in range(path.time):
-                total += current
-                current = matrix @ current
-            self.engine.count_matvecs(path.time)
+            self._reward_steps(rho, path.time, total)
             return total
         if isinstance(path, LongRunReward):
             pi = self.engine.long_run_distribution(chain)
@@ -414,6 +410,23 @@ class ModelChecker:
         if isinstance(path, ReachReward):
             return self._reachability_reward(rho, self.satisfaction(path.target))
         raise PctlSemanticsError(f"unsupported reward path {path!r}")
+
+    def _reward_steps(
+        self, rho: np.ndarray, steps: int, total: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """``P^steps @ rho``, one kernel call per step; with ``total``,
+        each of ``rho .. P^(steps-1) @ rho`` is added into it first."""
+        current = step_vector(rho, self.chain.num_states)
+        spare = np.empty_like(current)
+        step = matvec_step(self.chain.transition_matrix)
+        for _ in range(steps):
+            if total is not None:
+                total += current
+            spare.fill(0.0)
+            step(current, spare)
+            current, spare = spare, current
+        self.engine.count_matvecs(steps)
+        return current
 
     def _reachability_reward(
         self, rho: np.ndarray, target: np.ndarray

@@ -33,9 +33,10 @@ server (hand-rolled GET parsing — no new dependencies) in front of the
     snapshot.
 
 The computed value of a ``/guarantee`` miss is bit-identical to a
-serial ``zoo.sweep`` of the same single-point grid: the job's seed
-stream is spawned by grid index exactly as ``sweep_check`` spawns it,
-and the sweep function is the same module-level ``_check_point``.
+serial ``zoo.sweep`` of the same single-point grid: the job comes from
+the same builder as ``sweep_check``'s
+(:func:`~repro.engine.sweep.check_job`), so its sweep function, parsed
+formula and grid-index seed stream are the ones a sweep would ship.
 
 Graceful degradation: every coordinator submit goes through a
 :class:`~repro.resilience.CircuitBreaker`.  When the coordinator is
@@ -59,10 +60,8 @@ from dataclasses import asdict, is_dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-import numpy as np
-
 from ..engine.config import SmcConfig
-from ..engine.sweep import CHECK_BACKENDS, _check_point
+from ..engine.sweep import CHECK_BACKENDS, check_job
 from ..pctl.parser import PctlSyntaxError, parse_formula
 from ..resilience.policies import CircuitBreaker
 from .coordinator import Coordinator, Job
@@ -308,7 +307,7 @@ class Frontend:
         # never becomes a job that fails later in a worker.
         formula = params.get("formula") or fam.default_property
         try:
-            formula = str(parse_formula(formula))
+            tree = parse_formula(formula)
         except PctlSyntaxError as exc:
             raise _BadRequest(f"bad formula: {exc}") from None
         for key, value in point.items():
@@ -320,7 +319,8 @@ class Frontend:
                 )
         return {
             "family": family,
-            "formula": formula,
+            "formula": str(tree),
+            "tree": tree,
             "backend": backend,
             "theta": theta,
             "reduce": _literal(params.get("reduce", "True")) not in (False, 0, "false"),
@@ -362,8 +362,8 @@ class Frontend:
         """Submit the miss as a single-point sweep job; returns job id.
 
         The job is exactly the single-point grid ``sweep_check`` would
-        run: same module-level sweep function, same index-spawned seed
-        stream — so the result is bit-identical and cache-compatible.
+        run, built by the same :func:`~repro.engine.sweep.check_job` —
+        so the result is bit-identical and cache-compatible.
 
         Degradation surface: a query already in flight shares its job
         unconditionally; a *new* job first has to pass the circuit
@@ -375,20 +375,19 @@ class Frontend:
         from ..zoo.sweep import _build_point
         from .wire import encode
 
-        run = functools.partial(
-            _check_point,
-            build=functools.partial(
+        run = check_job(
+            functools.partial(
                 _build_point,
                 family=query["family"],
                 base_params=None,
                 reduce=query["reduce"],
             ),
-            formula=query["formula"],
+            query["tree"],
+            1,
             backend=query["backend"],
             theta=query["theta"],
-            config=query["smc"],
+            smc=query["smc"],
             solver=None,
-            seeds=np.random.SeedSequence(query["smc"].seed).spawn(1),
         )
         key = json.dumps(
             [scenario_id, query["formula"], query["backend"], fingerprint],

@@ -351,17 +351,27 @@ def _build_birth_death(params: Mapping[str, Any]) -> FamilyBuild:
         raise ValueError("need p_up, p_down > 0 with p_up + p_down <= 1")
 
     def build() -> ExplorationResult:
-        # Tridiagonal structure assembled as three diagonals at once —
-        # O(n) numpy, so 10^5+-state stress chains build in milliseconds.
+        # Tridiagonal CSR assembled straight from arrays — O(n) numpy,
+        # so 10^5+-state stress chains build in milliseconds.  Each row
+        # holds (down, stay, up) in column order; the zeros (no down
+        # move from 0, no up move from n - 1, no stay when
+        # p_up + p_down == 1) are left out, as `eliminate_zeros` would.
+        # int32 indices where they fit, so the constructor has nothing
+        # to narrow.
         up = np.full(n, p_up)
         up[-1] = 0.0
         down = np.full(n, p_down)
         down[0] = 0.0
         stay = 1.0 - up - down
-        matrix = sparse.diags(
-            [down[1:], stay, up[:-1]], offsets=[-1, 0, 1], format="csr"
+        values = np.stack([down, stay, up], axis=1)
+        stored = values != 0.0
+        index = np.int32 if 3 * n <= np.iinfo(np.int32).max else np.int64
+        columns = np.arange(-1, n - 1, dtype=index)[:, None] + np.arange(3, dtype=index)
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        matrix = sparse.csr_matrix(
+            (values[stored], columns[stored], indptr), shape=(n, n)
         )
-        matrix.eliminate_zeros()
         init = np.zeros(n)
         init[0] = 1.0
         level = np.arange(n, dtype=np.float64)

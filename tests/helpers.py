@@ -96,3 +96,18 @@ def random_dtmcs(draw, max_states: int = 6) -> DTMC:
     labels = {"mark": np.array([i % 2 == 0 for i in range(n)])}
     rewards = {"unit": np.ones(n), "mark": labels["mark"].astype(float)}
     return DTMC(matrix, 0, labels=labels, rewards=rewards)
+
+
+def count_parses(monkeypatch) -> list:
+    """Patch the pCTL parser to record each parse; returns the record."""
+    from repro.pctl import parser
+
+    parses: list = []
+    original = parser._Parser.parse
+
+    def counting(self):
+        parses.append(self)
+        return original(self)
+
+    monkeypatch.setattr(parser._Parser, "parse", counting)
+    return parses

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.pctl import parse_formula
 from repro.viterbi import ViterbiModelConfig
 
-from helpers import two_state_chain
+from helpers import count_parses, two_state_chain
 
 CFG = ViterbiModelConfig()
 
@@ -119,6 +119,14 @@ class TestAnalyzer:
         analyzer = PerformanceAnalyzer.for_mimo_detector()
         ber = analyzer.ber().value
         assert 0 < ber < 0.01
+
+    def test_check_parses_the_property_once(self, monkeypatch):
+        analyzer = PerformanceAnalyzer(two_state_chain(), name="toy")
+        parses = count_parses(monkeypatch)
+        guarantee = analyzer.check("P=? [ F<=2 in_b ]")
+        assert len(parses) == 1
+        assert guarantee.property_string == "P=? [ F<=2 in_b ]"
+        assert guarantee.warnings == ()
 
     def test_generic_chain_constructor(self):
         chain = two_state_chain(p=0.5, q=0.3)

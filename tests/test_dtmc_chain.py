@@ -48,6 +48,42 @@ class TestConstruction:
         with pytest.raises(DTMCValidationError):
             DTMC(np.eye(2), 0, states=["only-one"])
 
+    def test_float64_csr_is_kept_as_is(self):
+        from scipy import sparse
+
+        matrix = sparse.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        assert DTMC(matrix, 0).transition_matrix is matrix
+        # Anything else is still coerced to a float64 csr_matrix.
+        for other in (
+            sparse.csr_array(matrix),
+            matrix.astype(np.float32),
+            sparse.csc_matrix(matrix),
+        ):
+            coerced = DTMC(other, 0).transition_matrix
+            assert isinstance(coerced, sparse.csr_matrix)
+            assert coerced.dtype == np.float64
+            np.testing.assert_array_equal(coerced.toarray(), matrix.toarray())
+
+    def test_rejects_sparse_row_without_mass(self):
+        from scipy import sparse
+
+        matrix = sparse.csr_matrix(
+            (np.array([1.0, 1.0]), np.array([0, 2]), np.array([0, 1, 1, 2])),
+            shape=(3, 3),
+        )
+        with pytest.raises(DTMCValidationError, match=r"rows \[1\]"):
+            DTMC(matrix, 0)
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(DTMCValidationError, match="NaN"):
+            DTMC(np.array([[np.nan, 1.0], [0.0, 1.0]]), 0)
+
+    def test_zero_state_chain_validates(self):
+        from scipy import sparse
+
+        chain = DTMC(sparse.csr_matrix((0, 0)), np.zeros(0))
+        assert chain.num_states == 0
+
 
 class TestQueries:
     def test_successors(self):

@@ -12,6 +12,7 @@ from repro.dtmc import (
     jacobi_solve,
     power_solve,
 )
+from repro.dtmc.linear import ITERATIVE_METHODS
 
 from helpers import gamblers_ruin, knuth_yao_die, random_dtmcs
 
@@ -101,3 +102,14 @@ def test_solvers_agree_on_random_until_systems(chain):
     results = [solver(a, b, tolerance=1e-13) for solver in SOLVERS]
     for other in results[1:]:
         assert np.allclose(results[0], other, atol=1e-9)
+
+
+@pytest.mark.parametrize("method", ITERATIVE_METHODS)
+def test_empty_system_solves_to_empty_vector(method):
+    solver = {
+        "power": power_solve,
+        "jacobi": jacobi_solve,
+        "gauss-seidel": gauss_seidel_solve,
+    }[method]
+    solution = solver(sparse.csr_matrix((0, 0)), np.zeros(0))
+    assert solution.shape == (0,)

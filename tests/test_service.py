@@ -739,6 +739,79 @@ class _FlakyOnce:
 # HTTP front-end
 # ----------------------------------------------------------------------
 
+def _comparable_job(fn):
+    """A sweep function's keywords in a form ``==`` can compare."""
+    keywords = dict(fn.keywords)
+    build = keywords.pop("build")
+    keywords["build"] = (build.func, build.args, build.keywords)
+    keywords["seeds"] = [
+        None if seed is None else (seed.entropy, seed.spawn_key)
+        for seed in keywords["seeds"]
+    ]
+    return fn.func, keywords
+
+
+class TestPointJob:
+    """The job one check ships to the fleet, decoded as a worker sees it."""
+
+    @staticmethod
+    def _sweep_job(monkeypatch, points, **kwargs):
+        """The decoded job an ``executor="remote"`` zoo sweep submits."""
+        import repro.service.client as client
+
+        submitted = []
+
+        def fake_remote_sweep(fn, points, **_ignored):
+            submitted.append(wire.encode(fn))
+            return [SweepResult(point=p, value=0.5, seconds=0.0) for p in points]
+
+        monkeypatch.setattr(client, "remote_sweep", fake_remote_sweep)
+        zoo.sweep(
+            "birth-death", points=points, executor="remote",
+            remote="127.0.0.1:9", **kwargs,
+        )
+        (envelope,) = submitted
+        return wire.decode(envelope)
+
+    def test_exact_sweep_ships_no_seed_streams(self, monkeypatch):
+        job = self._sweep_job(monkeypatch, [{"n": n} for n in (4, 6, 8)])
+        assert job.keywords["seeds"] == [None, None, None]
+        # The parsed tree travels with the job: no point re-parses it.
+        assert str(job.keywords["formula"]) == "P=? [ F<=100 goal ]"
+        assert not isinstance(job.keywords["formula"], str)
+
+    def test_statistical_sweep_ships_one_stream_per_point(self, monkeypatch):
+        import numpy as np
+
+        job = self._sweep_job(
+            monkeypatch, [{"n": n} for n in (4, 6)], backend="apmc",
+            smc=SmcConfig(epsilon=0.1, delta=0.1, seed=3),
+        )
+        seeds = job.keywords["seeds"]
+        assert all(isinstance(seed, np.random.SeedSequence) for seed in seeds)
+        assert [seed.spawn_key for seed in seeds] == [(0,), (1,)]
+
+    @pytest.mark.parametrize(
+        "query, kwargs",
+        [
+            ("", {}),
+            ("&formula=P%3D%3F%20%5B%20G%3C%3D20%20!goal%20%5D",
+             {"formula": "P=? [ G<=20 !goal ]"}),
+            ("&backend=apmc&epsilon=0.1&delta=0.1",
+             {"backend": "apmc", "smc": SmcConfig(epsilon=0.1, delta=0.1)}),
+        ],
+    )
+    def test_guarantee_miss_ships_the_sweep_job(self, monkeypatch, query, kwargs):
+        coord = Coordinator(salt="s")
+        status, body = Frontend(coord).route(
+            "GET", f"/guarantee?family=birth-death&n=8{query}"
+        )
+        assert status == 202
+        miss = wire.decode(coord.jobs[body["job"]].fn)
+        swept = self._sweep_job(monkeypatch, [{"n": 8}], **kwargs)
+        assert _comparable_job(miss) == _comparable_job(swept)
+
+
 class TestFrontend:
     def test_route_errors(self):
         front = Frontend(Coordinator(salt="s"))

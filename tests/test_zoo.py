@@ -25,6 +25,8 @@ from repro.zoo import pipeline
 from repro.zoo.cli import main as zoo_main
 from repro.zoo.families import BUILTIN_FAMILIES
 
+from helpers import count_parses
+
 
 # ----------------------------------------------------------------------
 # Registry
@@ -286,6 +288,16 @@ class TestZooSweep:
         assert by_point[
             (("num_y_levels", 3), ("snr_db", 8.0))
         ] < by_point[(("num_y_levels", 3), ("snr_db", 4.0))]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_formula_parsed_once_per_sweep(self, executor, monkeypatch):
+        parses = count_parses(monkeypatch)
+        results = zoo.sweep(
+            "birth-death", {"n": [4, 6, 8, 10]}, "P=? [ F<=20 goal ]",
+            executor=executor,
+        )
+        assert all(r.ok for r in results)
+        assert len(parses) == 1
 
     def test_base_params_fix_the_plane(self):
         results = zoo.sweep(
