@@ -7,7 +7,7 @@ Two acceptance bars, both asserted here and reported in
   faster than the cold run (the "repeated queries are cache hits"
   pitch of the serving layer);
 * the sharded ``executor="process"`` path must produce results
-  bit-identical to the thread/serial path on a statistical backend
+  bit-identical to the serial path on a statistical backend
   (values, samples, ordering) — scaling is recorded in ``extra_info``
   but never asserted, since CI cores vary.
 """
@@ -100,12 +100,12 @@ def test_store_warm_hit_speedup_at_least_20x(benchmark, store):
     assert speedup >= 20.0, f"warm store only {speedup:.1f}x faster"
 
 
-def test_bench_sweep_process_sharded_vs_thread(benchmark):
+def test_bench_sweep_process_sharded_vs_serial(benchmark):
     """Sharded process fan-out of a 100-point statistical sweep.
 
     The merge contract is the assertion: process results must be
-    bit-identical (points, estimates, samples, order) to the thread
-    path.  Thread/process wall-clocks land in ``extra_info`` so the
+    bit-identical (points, estimates, samples, order) to the serial
+    path.  Serial/process wall-clocks land in ``extra_info`` so the
     scaling trend is tracked across CI runs without asserting on core
     counts.
     """
@@ -114,8 +114,8 @@ def test_bench_sweep_process_sharded_vs_thread(benchmark):
         points=POINTS, formula=FORMULA, backend="apmc", smc=smc
     )
 
-    threaded = _timed(
-        "thread", lambda: zoo.sweep("birth-death", executor="thread", **kwargs)
+    serial = _timed(
+        "serial", lambda: zoo.sweep("birth-death", executor="serial", **kwargs)
     )()
     process = benchmark.pedantic(
         _timed(
@@ -125,10 +125,10 @@ def test_bench_sweep_process_sharded_vs_thread(benchmark):
         rounds=1,
         iterations=1,
     )
-    benchmark.extra_info["thread_seconds"] = _SECONDS["thread"]
+    benchmark.extra_info["serial_seconds"] = _SECONDS["serial"]
     benchmark.extra_info["process_seconds"] = _SECONDS["process"]
     benchmark.extra_info["points"] = len(POINTS)
-    assert [r.point for r in process] == [r.point for r in threaded]
+    assert [r.point for r in process] == [r.point for r in serial]
     assert [asdict(r.value) for r in process] == [
-        asdict(r.value) for r in threaded
+        asdict(r.value) for r in serial
     ]

@@ -78,8 +78,8 @@ def part3_engine_layer() -> None:
     ):
         print(" ", guarantee)
 
-    # Fan a scenario grid across workers (threads here; "process" for
-    # full isolation, "serial" for debugging).
+    # Sweep a scenario grid (in order here; executor="process" leases
+    # shards to forked workers, which needs a module-level function).
     from repro.viterbi import ViterbiModelConfig, build_convergence_model
 
     def c1_at(point):

@@ -241,8 +241,9 @@ class PathSampler:
         The DTMC to sample.
     rng:
         Default generator for the convenience methods; every sampling
-        method also accepts an explicit ``rng`` so one sampler can be
-        shared across threads without mutable-state races.
+        method also accepts an explicit ``rng`` so one sampler (the
+        engine caches one per chain) can be shared, across threads
+        too, without mutable-state races.
     """
 
     def __init__(

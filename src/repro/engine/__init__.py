@@ -9,8 +9,8 @@ stationary distributions), so a batch of properties against one chain
 pays for its linear algebra once.
 
 :mod:`repro.engine.sweep` is the scenario fan-out companion: grids of
-design points (SNR, traceback length, quantizer levels) spread across
-threads, forked worker processes or a networked worker fleet.  Its
+design points (SNR, traceback length, quantizer levels) run in order,
+or leased to forked worker processes or a networked worker fleet.  Its
 :func:`check_value` is the one exact/APMC/SPRT dispatch that sweeps,
 the fleet and :class:`repro.core.PerformanceAnalyzer` share.
 """

@@ -381,7 +381,7 @@ class Engine:
         checks of many properties (or many SMC runs in a sweep) share
         one table build.  The cached sampler is stateless with respect
         to randomness when callers pass explicit generators, as the
-        SMC layer does — safe under the sweep runner's threads.
+        SMC layer does — safe to share across threads.
         """
         cache = self._cache(chain)
         if cache.sampler is None:

@@ -3,8 +3,8 @@
 The paper's experiments are all sweeps — a model rebuilt and re-checked
 per design point (Figure 2 sweeps traceback length, Table V sweeps
 antenna configurations).  Each point is independent, so this module
-fans them across :mod:`concurrent.futures` workers and returns ordered,
-timed, error-capturing results:
+runs them in order or fans them out as shard leases, and returns
+ordered, timed, error-capturing results:
 
 >>> from repro.engine import grid, sweep
 >>> points = grid(snr_db=[4.0, 8.0], length=[3, 4])
@@ -13,25 +13,24 @@ timed, error-capturing results:
 >>> [r.value for r in results]
 [12.0, 16.0, 24.0, 32.0]
 
-``executor`` selects ``"thread"`` (default — model building spends
-most time in scipy, which releases the GIL), ``"process"`` (full
-isolation; the sweep function must be picklable), or ``"serial"``
-(in-process, deterministic, used by the tests and for debugging).
-The process executor is *sharded*: the point grid is chunked into
-contiguous shards (``shard_size`` points each), and each forked worker
-process holds one shard *lease* at a time, so dispatch and pickling
-are amortized across a shard.  The ordered merge of shard results is
-bit-identical to the serial path — per-point seed streams are spawned
-by grid index, never by worker, so shards are embarrassingly
-mergeable.
+``executor`` selects ``"serial"`` (default: in-process, in order),
+``"process"`` (forked worker processes; the sweep function must be
+picklable) or ``"remote"`` (the worker fleet of :mod:`repro.service`).
+Parallel work always runs as *leases*: the point grid is chunked into
+contiguous shards (``shard_size`` points each), and each worker — a
+forked process or a fleet member — holds one shard lease at a time,
+so dispatch and pickling are amortized across a shard.  The ordered
+merge of shard results is bit-identical to the serial path — per-point
+seed streams are spawned by grid index, never by worker, so shards are
+embarrassingly mergeable.
 
 Every runner is fault-tolerant (see :mod:`repro.resilience`):
 
 * a :class:`~repro.resilience.RetryPolicy` re-attempts failing points
   with exponential backoff and deterministic per-point jitter;
 * a :class:`~repro.resilience.DeadlinePolicy` bounds each point's
-  wall-clock — watchdog threads on the serial/thread executors, a
-  per-lease budget on the process executor;
+  wall-clock — a watchdog lane on the serial executor, a per-lease
+  budget on the process executor and the fleet;
 * the process executor leases shards exactly as the worker fleet of
   :mod:`repro.service` does: a worker that dies, or whose lease
   outlives its budget, is killed and only its own lease fails.  One
@@ -67,7 +66,6 @@ import pickle
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from multiprocessing.connection import wait as _wait_ready
@@ -101,9 +99,9 @@ __all__ = [
     "EXECUTORS",
 ]
 
-#: Every sweep executor: in-process serial/thread, the sharded process
-#: pool, and the networked worker fleet of :mod:`repro.service`.
-EXECUTORS = ("serial", "thread", "process", "remote")
+#: Every sweep executor: in-process serial, forked lease holders, and
+#: the networked worker fleet of :mod:`repro.service`.
+EXECUTORS = ("serial", "process", "remote")
 
 
 def validate_executor(executor: str, error: type = ValueError) -> None:
@@ -369,10 +367,6 @@ def _run_points(
     return results
 
 
-def _run_point(fn, point, retry=None, deadline=None) -> SweepResult:
-    return _run_points(fn, [point], retry, deadline)[0]
-
-
 def _run_shard(
     fn: Callable[[Any], Any],
     shard: Sequence[Any],
@@ -613,7 +607,7 @@ def sweep(
     fn: Callable[[Any], Any],
     points: Sequence[Any],
     *,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
     on_error: str = "capture",
     shard_size: Optional[int] = None,
@@ -631,10 +625,11 @@ def sweep(
 
     ``executor="process"`` leases *shards* (contiguous chunks of
     ``shard_size`` points, see :func:`_shard`) to forked worker
-    processes and merges the ordered shard results; ``shard_size`` is
-    ignored by the serial and thread executors, where per-point
-    submission is already cheap.  The process path survives worker
-    crashes and lease deadline overruns — see :func:`_process_sweep`.
+    processes and merges the ordered shard results; the serial
+    executor ignores ``shard_size``, and so does a one-point sweep,
+    which runs in-process on any executor but ``"remote"``.  The
+    process path survives worker crashes and lease deadline overruns —
+    see :func:`_process_sweep`.
 
     ``executor="remote"`` ships the sweep to a
     :class:`~repro.service.Coordinator` worker fleet (``remote`` names
@@ -683,7 +678,7 @@ def sweep(
             _run_points(fn, points, retry, deadline, results)
         except KeyboardInterrupt:
             raise SweepInterrupted(results) from None
-    elif executor == "process":
+    else:
         workers = max_workers or min(len(points), os.cpu_count() or 1)
         results = _process_sweep(
             fn,
@@ -693,26 +688,6 @@ def sweep(
             retry=retry,
             deadline=deadline,
         )
-    else:
-        workers = max_workers or min(len(points), os.cpu_count() or 1)
-        pool = ThreadPoolExecutor(max_workers=workers)
-        futures = [
-            pool.submit(_run_point, fn, point, retry, deadline)
-            for point in points
-        ]
-        try:
-            results = [future.result() for future in futures]
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            partial = [
-                future.result()
-                for future in futures
-                if future.done()
-                and not future.cancelled()
-                and future.exception() is None
-            ]
-            raise SweepInterrupted(partial) from None
-        pool.shutdown(wait=True)
     if on_error == "raise":
         for result in results:
             if not result.ok:
@@ -873,7 +848,7 @@ def sweep_check(
     theta: Optional[float] = None,
     smc: Optional[SmcConfig] = None,
     solver=None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
     on_error: str = "capture",
     shard_size: Optional[int] = None,
@@ -1058,7 +1033,7 @@ def sweep_values(
     fn: Callable[[Any], Any],
     points: Sequence[Any],
     *,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
 ) -> List[Any]:
     """Like :func:`sweep` but returns bare values, raising on failure."""

@@ -68,15 +68,15 @@ def run(
     lengths: Sequence[int] = (2, 3, 4, 5, 6, 7, 8, 9, 10),
     snr_db: float = 8.0,
     horizon: Optional[int] = None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
 ) -> Figure2Result:
     """Sweep the traceback length; C1 via steady state (or ``R=?[I=h]``
     when ``horizon`` is given, as in the paper).
 
     Each sweep point is independent (own model, own checker), so the
-    points fan across ``executor`` workers ("thread", "process", or
-    "serial" for a deterministic in-process run).
+    points can fan across ``executor`` workers ("process" or
+    "remote"; the default "serial" runs them in-process, in order).
     """
     start = time.perf_counter()
     results = sweep(

@@ -84,8 +84,7 @@ def run(
     because this table *reports* per-system build seconds, and timing
     inside concurrent workers would inflate each row with contention
     from the others.  Pass ``executor="process"`` for parallel builds
-    with honest per-row timing, or ``"thread"`` when timing is not the
-    point.
+    with honest per-row timing.
     """
     if configs is None:
         configs = [

@@ -83,7 +83,7 @@ def run(
     short_sim_steps: int = 100_000,
     long_sim_steps: int = 2_000_000,
     with_simulation: bool = True,
-    executor: str = "thread",
+    executor: str = "serial",
 ) -> Table5Result:
     if configs is None:
         configs = [

@@ -253,20 +253,6 @@ class TrendReport:
         return "\n".join(lines)
 
 
-def _point_of(row: StoredResult) -> HistoryPoint:
-    """One history point from a stored row (provenance preserved)."""
-    return HistoryPoint(
-        salt=row.salt,
-        value=row.value,
-        seconds=row.seconds,
-        samples=row.samples,
-        created=row.created,
-        config=row.config,
-        key=row.key,
-        warnings=tuple(getattr(row.value, "warnings", ()) or ()),
-    )
-
-
 def trend_report(
     store: ResultStore,
     family: str,
@@ -302,7 +288,7 @@ def trend_report(
                 formula=first.formula,
                 backend=first.backend,
                 config=first.config,
-                points=[_point_of(row) for row in group],
+                points=[HistoryPoint.of(row) for row in group],
                 tolerance=tolerance,
             )
         )

@@ -7,7 +7,7 @@ fault-tolerance layer threaded through :mod:`repro.engine.sweep`,
 
 * :class:`RetryPolicy` / :class:`DeadlinePolicy` — per-point retry
   budgets (exponential backoff, deterministic jitter) and wall-clock
-  deadlines (watchdog threads on serial/thread executors, a per-lease
+  deadlines (a watchdog thread on the serial executor, a per-lease
   budget on the process executor and the worker fleet).
 * Crash recovery — both fan-outs lease shards to workers, and a
   worker that dies (``BrokenProcessPool`` on the process executor,

@@ -14,11 +14,11 @@ lost grid.  The two policies here are the knobs the fabric accepts:
     ambient randomness anywhere in the fabric.
 
 :class:`DeadlinePolicy`
-    The per-point wall-clock budget.  Serial and thread executors
-    enforce it with a watchdog (the point runs in a helper thread that
-    is abandoned when the deadline passes); the process executor kills
-    a worker whose shard lease outlives the lease budget, escalating
-    the hung shard into the lease bisection of
+    The per-point wall-clock budget.  The serial executor enforces it
+    with a watchdog (the point runs in a helper thread that is
+    abandoned when the deadline passes); the process executor and the
+    worker fleet kill a worker whose shard lease outlives the lease
+    budget, escalating the hung shard into the lease bisection of
     :func:`repro.engine.sweep`.
 
 Both are frozen dataclasses with ``coerce`` constructors so call
@@ -78,9 +78,9 @@ class RetryPolicy:
         Exception types considered transient; anything not matching is
         failed immediately.  :class:`DeadlineExceeded` is an ordinary
         ``TimeoutError`` subclass, so the default ``(Exception,)``
-        retries deadline kills too (on the watchdog executors — a
-        process or fleet worker whose lease overruns is killed, and the
-        lease bisected, without retry).
+        retries deadline kills too (on the serial executor's watchdog —
+        a process or fleet worker whose lease overruns is killed, and
+        the lease bisected, without retry).
     """
 
     max_attempts: int = 3
@@ -157,17 +157,19 @@ class DeadlinePolicy:
     Parameters
     ----------
     timeout:
-        Seconds one point may run before it is killed.  Serial/thread
-        executors abandon the point's watchdog thread and raise
+        Seconds one point may run before it is killed.  The serial
+        executor abandons the point's watchdog thread and raises
         :class:`DeadlineExceeded` (retryable under a
         :class:`RetryPolicy` whose ``retry_on`` matches); the process
         executor gives each shard lease ``timeout x retry attempts x
         points + grace`` and kills the worker of a lease that outlives
         it, bisecting the lease down to the hung point, which it
-        quarantines.
+        quarantines.  The worker fleet does the same with the
+        coordinator's ``lease_grace`` in place of ``grace``.
     grace:
-        Extra allowance (seconds) added to each lease budget for worker
-        startup and dispatch; irrelevant to the watchdog executors.
+        The process executor's lease grace: extra seconds added once to
+        each lease budget for worker startup and dispatch.  The serial
+        watchdog and the worker fleet ignore it.
     """
 
     timeout: float

@@ -141,7 +141,9 @@ def remote_sweep(
 
     ``retry`` ships to the workers (in-worker attempts, exactly the
     process executor's contract); ``deadline`` becomes the per-point
-    lease budget that catches hung-but-heartbeating workers.
+    lease budget (``timeout x attempts``; the coordinator adds its
+    ``lease_grace`` once per lease) that catches hung-but-heartbeating
+    workers.
     ``timeout`` bounds the whole sweep — on expiry the job is cancelled
     and a ``TimeoutError`` raised.  A job that another client cancels
     returns at once: finished points keep their values and every other
@@ -154,11 +156,8 @@ def remote_sweep(
     if not points:
         return []
     attempts = retry.max_attempts if retry is not None else 1
-    point_budget = (
-        deadline.timeout * attempts + deadline.grace
-        if deadline is not None
-        else None
-    )
+    # The coordinator adds its own lease_grace once per lease.
+    point_budget = deadline.timeout * attempts if deadline is not None else None
     submitted = call_with_retry(
         connect,
         {

@@ -202,7 +202,8 @@ class Coordinator:
         Silence threshold after which a worker counts as dead and its
         leases are reassigned (default ``3 x heartbeat``).
     lease_grace:
-        Extra seconds added to per-point budgets for dispatch overhead.
+        Extra seconds added once to each lease's budget (``point_budget
+        x points``) for dispatch overhead.
     quarantine_strikes:
         Expiries of a *single-point* lease before the point is
         quarantined instead of requeued (the bisection endpoint).

@@ -145,7 +145,7 @@ def make_path_trial(
     The returned callable draws one path prefix and reports whether it
     satisfies the property.  The generator is threaded through the
     call — shared samplers are never mutated, so one compiled trial is
-    safe under the sweep runner's thread executor.
+    safe to share across threads.
     """
     kind, bound, left, right = _bounded_path_parts(chain, formula)
     shared = sampler if sampler is not None else PathSampler(chain)

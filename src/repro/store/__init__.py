@@ -26,7 +26,6 @@ from .history import (
     DiffEntry,
     HistoryPoint,
     SaltDiff,
-    metric_of,
     relative_drift,
 )
 from .result_store import (
@@ -59,6 +58,5 @@ __all__ = [
     "encode_value",
     "decode_value",
     "make_key",
-    "metric_of",
     "relative_drift",
 ]

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
+
+from ..resilience.validate import numeric_value
 
 __all__ = [
     "DRIFT_TOLERANCE",
     "HistoryPoint",
     "DiffEntry",
     "SaltDiff",
-    "metric_of",
     "relative_drift",
     "classify_pair",
 ]
@@ -38,26 +39,6 @@ __all__ = [
 #: drift — generous enough for cross-platform linear-algebra noise,
 #: tight enough to flag any re-tuned constant or changed seed stream.
 DRIFT_TOLERANCE = 1e-6
-
-
-def metric_of(value: Any) -> Optional[float]:
-    """The comparable number inside one stored check value.
-
-    Mirrors :func:`repro.resilience.validate.numeric_value`: bare
-    numbers pass through, ``Guarantee.value`` / ``ApmcResult.estimate``
-    unwrap duck-typed, SPRT verdicts compare as 0/1.  ``None`` means
-    the value has no scalar to trend (it then only ever compares equal
-    or changed, never "drifted by x%").
-    """
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    for attribute in ("estimate", "value", "accept"):
-        inner = getattr(value, attribute, None)
-        if isinstance(inner, (bool, int, float)):
-            return float(inner)
-    return None
 
 
 def relative_drift(a: Optional[float], b: Optional[float]) -> Optional[float]:
@@ -96,10 +77,27 @@ class HistoryPoint:
     key: str = ""
     warnings: Tuple[Any, ...] = ()
 
+    @classmethod
+    def of(cls, row: Any) -> "HistoryPoint":
+        """One history point from a :class:`~repro.store.StoredResult`,
+        its provenance preserved."""
+        return cls(
+            salt=row.salt,
+            value=row.value,
+            seconds=row.seconds,
+            samples=row.samples,
+            created=row.created,
+            config=row.config,
+            key=row.key,
+            warnings=tuple(getattr(row.value, "warnings", ()) or ()),
+        )
+
     @property
     def metric(self) -> Optional[float]:
-        """The trendable scalar inside :attr:`value` (see :func:`metric_of`)."""
-        return metric_of(self.value)
+        """The trendable scalar inside :attr:`value`
+        (:func:`~repro.resilience.numeric_value`); ``None`` when it has
+        none."""
+        return numeric_value(self.value)
 
     @property
     def flagged(self) -> bool:
@@ -122,12 +120,12 @@ def classify_pair(
 ) -> Tuple[str, Optional[float]]:
     """``("unchanged" | "drifted", relative drift)`` for two values.
 
-    Numeric values (after :func:`metric_of` unwrapping) drift when the
-    relative change exceeds ``tolerance``; non-numeric values compare
-    by equality of their store encoding and drift with ``None`` as the
-    magnitude.
+    Numeric values (after :func:`~repro.resilience.numeric_value`
+    unwrapping) drift when the relative change exceeds ``tolerance``;
+    non-numeric values compare by equality of their store encoding and
+    drift with ``None`` as the magnitude.
     """
-    drift = relative_drift(metric_of(value_a), metric_of(value_b))
+    drift = relative_drift(numeric_value(value_a), numeric_value(value_b))
     if drift is not None:
         return ("drifted" if drift > tolerance else "unchanged"), drift
     from .result_store import encode_value
@@ -178,7 +176,7 @@ class DiffEntry:
 
 
 def _short(value: Any) -> str:
-    metric = metric_of(value)
+    metric = numeric_value(value)
     return f"{metric:.6g}" if metric is not None else repr(value)
 
 

@@ -38,13 +38,15 @@ field-by-field and rebuilt on read, so a warm sweep returns objects
 equal to the cold run's.
 
 The store pickles by *location* (path, salt, timeout), not by
-connection: each unpickled copy — e.g. one per process-executor
-worker in a sharded survey — reopens its own connection lazily, which
-is exactly the safe way to share sqlite across processes.
+connection: each unpickled copy — e.g. one captured by a sweep
+function that a process-executor worker runs — reopens its own
+connection lazily, which is exactly the safe way to share sqlite
+across processes.
 
-Reads are pure reads: a hit is one ``SELECT`` and never waits on
-another connection's write lock (the service answers warm hits on its
-event loop).  Hit counts accumulate in memory and are written by the
+Reads are pure reads: a hit is one ``SELECT`` on a read connection of
+its own, so it never waits on another connection's write lock, nor on
+this store's own ``put`` waiting for one (the service answers warm hits
+on its event loop).  Hit counts accumulate in memory and are written by the
 next :meth:`~ResultStore.put`, by :meth:`~ResultStore.query` and
 :meth:`~ResultStore.stats`, or by :meth:`~ResultStore.close` — close a
 store to keep its counts.
@@ -393,32 +395,41 @@ class ResultStore:
         self.path = os.fspath(path)
         self.salt = salt if salt is not None else _default_salt()
         self.timeout = timeout
+        self._init_connections()
+
+    def _init_connections(self) -> None:
+        # Lock order: ``_lock`` (the writer connection) before
+        # ``_read_lock`` (the read connection and the hit buffer).
         self._lock = threading.Lock()
         self._conn: Optional[sqlite3.Connection] = None
+        self._read_lock = threading.Lock()
+        self._reader: Optional[sqlite3.Connection] = None
         self._hits: Dict[str, int] = {}  # key -> hits not yet written
 
     # -- connection lifecycle -------------------------------------------------
 
+    def _open(self) -> sqlite3.Connection:
+        """A new, prepared connection to the file."""
+        conn = sqlite3.connect(self.path, timeout=self.timeout, check_same_thread=False)
+        # Processes opening one fresh file together can fail at once
+        # with "database is locked" (the journal-mode switch does not
+        # wait out the busy timeout), so retry until the timeout.
+        deadline, delay = time.monotonic() + self.timeout, 0.001
+        while True:
+            try:
+                self._prepare(conn)
+                return conn
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    conn.close()
+                    raise
+                time.sleep(delay)
+                delay = min(2 * delay, 0.05)
+
     def _connection(self) -> sqlite3.Connection:
+        """The writer connection (``_lock`` held)."""
         if self._conn is None:
-            conn = sqlite3.connect(
-                self.path, timeout=self.timeout, check_same_thread=False
-            )
-            # Processes opening one fresh file together can fail at once
-            # with "database is locked" (the journal-mode switch does not
-            # wait out the busy timeout), so retry until the timeout.
-            deadline, delay = time.monotonic() + self.timeout, 0.001
-            while True:
-                try:
-                    self._prepare(conn)
-                    break
-                except sqlite3.OperationalError as exc:
-                    if "locked" not in str(exc) or time.monotonic() > deadline:
-                        conn.close()
-                        raise
-                    time.sleep(delay)
-                    delay = min(2 * delay, 0.05)
-            self._conn = conn
+            self._conn = self._open()
         return self._conn
 
     @staticmethod
@@ -441,24 +452,30 @@ class ResultStore:
         conn.commit()
 
     def close(self) -> None:
-        """Write buffered hit counts, then close the sqlite connection
+        """Write buffered hit counts, then close both sqlite connections
         (reopened lazily on next use)."""
         with self._lock:
-            if self._conn is not None:
-                self._flush_hits(self._conn)
-                self._conn.commit()
-                self._conn.close()
+            if self._conn is not None or self._hits:
+                conn = self._connection()
+                self._flush_hits(conn)
+                conn.commit()
+                conn.close()
                 self._conn = None
+            with self._read_lock:
+                if self._reader is not None:
+                    self._reader.close()
+                    self._reader = None
 
     def _flush_hits(self, conn: sqlite3.Connection) -> None:
-        """Add the buffered hit counts to their rows (lock held; the
+        """Add the buffered hit counts to their rows (``_lock`` held; the
         caller commits)."""
-        if self._hits:
+        with self._read_lock:
+            hits, self._hits = self._hits, {}
+        if hits:
             conn.executemany(
                 "UPDATE results SET hits = hits + ? WHERE key = ?",
-                [(count, key) for key, count in self._hits.items()],
+                [(count, key) for key, count in hits.items()],
             )
-            self._hits.clear()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -475,9 +492,7 @@ class ResultStore:
         self.path = state["path"]
         self.salt = state["salt"]
         self.timeout = state["timeout"]
-        self._lock = threading.Lock()
-        self._conn = None
-        self._hits = {}
+        self._init_connections()
 
     # -- core API -------------------------------------------------------------
 
@@ -582,9 +597,10 @@ class ResultStore:
         ]
         marks = ",".join("?" * len(set(keys)))
         unique = list(dict.fromkeys(keys))
-        with self._lock:
-            conn = self._connection()
-            rows = conn.execute(
+        with self._read_lock:
+            if self._reader is None:
+                self._reader = self._open()
+            rows = self._reader.execute(
                 f"SELECT {_COLUMNS} FROM results WHERE key IN ({marks})",
                 unique,
             ).fetchall()
@@ -695,22 +711,7 @@ class ResultStore:
         )
         with self._lock:
             rows = self._connection().execute(sql, params).fetchall()
-        return [self._row_to_point(row) for row in rows]
-
-    @classmethod
-    def _row_to_point(cls, row: Tuple) -> HistoryPoint:
-        """Build one :class:`HistoryPoint` from a raw results row."""
-        result = cls._row_to_result(row)
-        return HistoryPoint(
-            salt=result.salt,
-            value=result.value,
-            seconds=result.seconds,
-            samples=result.samples,
-            created=result.created,
-            config=result.config,
-            key=result.key,
-            warnings=tuple(getattr(result.value, "warnings", ()) or ()),
-        )
+        return [HistoryPoint.of(self._row_to_result(row)) for row in rows]
 
     def compare(
         self,

@@ -536,7 +536,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta", type=float, default=0.05)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument(
-        "--executor", choices=EXECUTORS, default="thread"
+        "--executor", choices=EXECUTORS, default="serial",
+        help="serial runs points in order here; process and remote lease"
+             " shards to forked workers or a fleet (default: %(default)s)",
     )
     p_sweep.add_argument(
         "--shard-size", type=int, metavar="N",
@@ -566,7 +568,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("exact", "apmc", "sprt"), default="exact"
     )
     p_survey.add_argument(
-        "--executor", choices=EXECUTORS, default="thread"
+        "--executor", choices=EXECUTORS, default="serial",
+        help="remote sends each family to the fleet as one job; serial and"
+             " process check them here (default: %(default)s)",
     )
     p_survey.add_argument(
         "--connect", metavar="HOST:PORT",

@@ -13,16 +13,17 @@ read-through cached: points are keyed by the *fully merged*
 :class:`~repro.zoo.pipeline.ScenarioSpec` identity (family + defaults
 + base params + point + the ``reduce`` flag), so a warm repeat of the
 same grid — or any overlapping grid — is served from the store instead
-of re-solved.  ``executor="process"`` shards the grid across a
-process pool (see :func:`repro.engine.sweep`); the merged results are
-bit-identical to the serial path because per-point seed streams are
-spawned by grid index.
+of re-solved.  ``executor="process"`` leases shards of the grid to
+forked workers and ``executor="remote"`` to the worker fleet (see
+:func:`repro.engine.sweep`); the merged results are bit-identical to
+the serial path because per-point seed streams are spawned by grid
+index.
 
 :func:`survey` is the zoo-wide smoke sweep: every registered family at
 its defaults against its own default property — the "does the whole
-zoo still build and check" pass the CI benchmark job tracks.  The
-families fan through *one* shared executor pass (thread or sharded
-process pool), not a sequential per-family loop.
+zoo still build and check" pass the CI benchmark job tracks.  Each
+family is one one-point :func:`sweep`, so store traffic stays in the
+calling process.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..engine import SmcConfig, SweepResult
 from ..engine import grid as engine_grid
-from ..engine import sweep as engine_sweep
 from ..engine import sweep_check
 from ..engine.sweep import validate_executor
 from .pipeline import ScenarioSpec, build
@@ -88,7 +88,7 @@ def sweep(
     theta: Optional[float] = None,
     smc: Optional[SmcConfig] = None,
     solver=None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers: Optional[int] = None,
     on_error: str = "capture",
     shard_size: Optional[int] = None,
@@ -121,9 +121,9 @@ def sweep(
         docs for the exact/apmc/sprt semantics and per-point seeding.
     executor / max_workers / on_error / shard_size:
         Passed through to the underlying sweep runner;
-        ``executor="process"`` fans shards of ``shard_size`` points
-        across a process pool and ``executor="remote"`` ships them to
-        a guarantee-service worker fleet (see :mod:`repro.service`).
+        ``executor="process"`` leases shards of ``shard_size`` points
+        to forked worker processes and ``executor="remote"`` ships them
+        to a guarantee-service worker fleet (see :mod:`repro.service`).
     remote:
         Coordinator address (``"HOST:PORT"``) for
         ``executor="remote"``; falls back to ``$REPRO_COORDINATOR``.
@@ -185,46 +185,12 @@ def sweep(
     )
 
 
-def _survey_family(
-    name: str,
-    *,
-    backend: str,
-    smc: Optional[SmcConfig],
-    store,
-    retry=None,
-    deadline=None,
-) -> SweepResult:
-    """One survey cell: a family checked at its defaults.
-
-    Module-level (and built exclusively from picklable pieces) so the
-    survey can fan families across a process pool; each family spawns
-    its own seed stream from ``smc.seed`` exactly as a standalone
-    one-point :func:`sweep` would, so survey results are independent of
-    how the families are scheduled.
-    """
-    fam = get_model(name)
-    return sweep(
-        name,
-        points=[{}],
-        formula=fam.default_property,
-        backend=backend,
-        theta=0.5 if backend == "sprt" else None,
-        smc=smc,
-        executor="serial",
-        on_error="capture",
-        store=store,
-        retry=retry,
-        deadline=deadline,
-    )[0]
-
-
 def survey(
     *,
     tag: Optional[str] = None,
     backend: str = "exact",
     smc: Optional[SmcConfig] = None,
-    executor: str = "thread",
-    max_workers: Optional[int] = None,
+    executor: str = "serial",
     remote: Optional[str] = None,
     store=None,
     retry=None,
@@ -233,38 +199,35 @@ def survey(
     """Check every registered family at its defaults.
 
     One point per family, each against its own ``default_property``
-    with the chosen backend, all fanned through a single shared
-    executor pass.  Returns ``{family name: SweepResult}``; each
-    result keeps its parameter-dict ``point`` untouched and carries
-    the family name in the dedicated ``label`` field.  Failures are
-    captured per family, never raised — a zoo-wide health check rather
-    than an experiment.  ``store`` read-through caches every cell;
+    with the chosen backend: a one-point :func:`sweep` per family, so
+    every cell spawns its seed stream from ``smc.seed`` exactly as a
+    standalone sweep would, and only this process touches ``store``.
+    On ``executor="remote"`` each family is one fleet job; on the
+    other executors a one-point sweep runs in-process.  Returns
+    ``{family name: SweepResult}``; each result keeps its
+    parameter-dict ``point`` untouched and carries the family name in
+    the dedicated ``label`` field.  Check failures are captured per
+    family, never raised — a zoo-wide health check rather than an
+    experiment.  ``store`` read-through caches every cell;
     ``retry``/``deadline`` apply per family exactly as in
     :func:`sweep`.
     """
     validate_executor(executor, ZooError)
-    families = list_models(tag=tag)
-    runner = functools.partial(
-        _survey_family, backend=backend, smc=smc, store=store,
-        retry=retry, deadline=deadline,
-    )
-    outcomes = engine_sweep(
-        runner,
-        [fam.name for fam in families],
-        executor=executor,
-        max_workers=max_workers,
-        on_error="capture",
-        remote=remote,
-    )
     results: Dict[str, SweepResult] = {}
-    for fam, outcome in zip(families, outcomes):
-        if outcome.ok:
-            result = outcome.value  # the family's own captured SweepResult
-        else:  # the worker itself failed (build error, pickling, ...)
-            result = SweepResult(
-                point={}, value=None, seconds=outcome.seconds,
-                error=outcome.error,
-            )
+    for fam in list_models(tag=tag):
+        (result,) = sweep(
+            fam.name,
+            points=[{}],
+            formula=fam.default_property,
+            backend=backend,
+            theta=0.5 if backend == "sprt" else None,
+            smc=smc,
+            executor=executor,
+            remote=remote,
+            store=store,
+            retry=retry,
+            deadline=deadline,
+        )
         result.label = fam.name
         results[fam.name] = result
     return results

@@ -6,6 +6,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.dtmc import DTMC, dtmc_from_dict
+from repro.store import ResultStore
+
+
+class UnpicklableStore(ResultStore):
+    """A store that refuses to be pickled, so a sweep that ships its
+    store to a worker fails with ``TypeError``."""
+
+    def __reduce__(self):
+        raise TypeError("this ResultStore must stay in the calling process")
 
 
 def knuth_yao_die() -> DTMC:

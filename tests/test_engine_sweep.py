@@ -2,7 +2,6 @@
 
 import math
 import multiprocessing
-import threading
 
 import pytest
 
@@ -37,7 +36,7 @@ class TestGrid:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_results_ordered_and_correct(self, executor):
         results = sweep(_square, [3, 1, 2], executor=executor)
         assert [r.value for r in results] == [9, 1, 4]
@@ -66,34 +65,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown executor"):
             sweep(_square, [1], executor="fork-bomb")
 
+    def test_thread_executor_is_gone(self):
+        with pytest.raises(ValueError, match="serial, process, remote"):
+            sweep(_square, [1, 2], executor="thread")
+
     def test_unknown_on_error_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
             sweep(_square, [1, 2], executor="serial", on_error="ignore")
-
-    def test_thread_pool_actually_fans_out(self):
-        """With enough workers, sleeping points overlap in time."""
-        barrier = threading.Barrier(3, timeout=10)
-
-        def rendezvous(_):
-            # Only reachable if three points run concurrently.
-            barrier.wait()
-            return True
-
-        results = sweep(
-            rendezvous, [0, 1, 2], executor="thread", max_workers=3
-        )
-        assert [r.value for r in results] == [True, True, True]
-
-    def test_max_workers_one_is_sequential(self):
-        results = sweep(
-            _square, [1, 2, 3], executor="thread", max_workers=1
-        )
-        assert [r.value for r in results] == [1, 4, 9]
-
-    def test_closure_points_with_threads(self):
-        scale = 10
-        results = sweep(lambda p: p * scale, [1, 2], executor="thread")
-        assert [r.value for r in results] == [10, 20]
 
     def test_process_pool_with_module_function(self):
         assert [
@@ -115,7 +93,7 @@ class TestExperimentDriversAcrossExecutors:
     particular "process", which requires their sweep functions to be
     picklable (module-level, not closures)."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_figure2_sweep(self, executor):
         from repro.experiments import figure2
 

@@ -33,13 +33,12 @@ from repro.history import (
     trend_report,
     trend_reports,
 )
-from repro.resilience import ValidationWarning
+from repro.resilience import ValidationWarning, numeric_value
 from repro.service import Coordinator, Frontend, FrontendServer
 from repro.store import (
     DRIFT_TOLERANCE,
     HistoryPoint,
     ResultStore,
-    metric_of,
     relative_drift,
 )
 from repro.store.result_store import SCHEMA_VERSION
@@ -87,11 +86,24 @@ def _seed_two_salts(path, *, drift_to=0.75):
 
 class TestDriftPrimitives:
     def test_metric_of_scalars_and_results(self):
-        assert metric_of(0.25) == 0.25
-        assert metric_of(True) == 1.0
-        assert metric_of("not numeric") is None
+        # History trends the number validation checks.
+        from repro.smc.hoeffding import ApmcResult
+        from repro.smc.sprt import SprtResult
+
+        assert numeric_value(0.25) == 0.25
+        assert numeric_value(True) == 1.0
+        assert numeric_value("not numeric") is None
         g = Guarantee("P", FORMULA, 0.5, 2, 2, 0.0)
-        assert metric_of(g) == 0.5
+        assert numeric_value(g) == 0.5
+        apmc = ApmcResult(estimate=0.375, samples=100, epsilon=0.1, delta=0.05)
+        assert numeric_value(apmc) == 0.375
+        sprt = SprtResult(
+            accept=False, samples=40, theta=0.5, half_width=0.01,
+            alpha=0.01, beta=0.01,
+        )
+        assert numeric_value(sprt) == 0.0
+        point = HistoryPoint(salt="s", value=apmc, seconds=0.1, samples=100, created=0.0)
+        assert point.metric == 0.375
 
     def test_relative_drift_symmetric_and_scale_free(self):
         assert relative_drift(0.5, 0.75) == pytest.approx(1 / 3)

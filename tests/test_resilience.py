@@ -4,7 +4,7 @@ Covers the ISSUE-7 acceptance surface:
 
 * retry policies: attempt budgets, exception allowlists, deterministic
   exponential backoff with per-point jitter;
-* deadline policies: watchdog kills on the serial/thread executors,
+* deadline policies: watchdog kills on the serial executor,
   lease budgets on the process executor;
 * crash recovery: worker kills (``BrokenProcessPool``) survive at the
   cost of the dead worker's lease alone, the poisoned point is
@@ -216,11 +216,11 @@ class TestFaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Retries on the watchdog executors
+# Retries on the serial executor
 # ----------------------------------------------------------------------
 
 class TestRetries:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_transient_fault_absorbed(self, tmp_path, executor):
         injector = FaultInjector(
             [({"x": 1}, Fault(kind="raise", times=2))], tmp_path
@@ -276,11 +276,11 @@ class TestRetries:
 
 
 # ----------------------------------------------------------------------
-# Deadlines on the watchdog executors
+# Deadlines on the serial executor's watchdog lane
 # ----------------------------------------------------------------------
 
 class TestDeadlines:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_hang_killed_at_deadline(self, tmp_path, executor):
         injector = FaultInjector(
             [({"x": 1}, Fault(kind="hang", hang_seconds=5.0))], tmp_path
@@ -328,11 +328,11 @@ def _sometimes_hangs(point):
 
 
 class TestDeadlineLanes:
-    """The serial/thread deadline runner hands points to a helper lane
+    """The serial deadline runner hands points to a helper lane
     and abandons it at an overrun: every point must land exactly once,
     in order, and an abandoned lane must never append later."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_abandoned_lanes_never_append(self, executor):
         points = [{"x": i} for i in range(40)]
         interval = sys.getswitchinterval()

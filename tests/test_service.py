@@ -66,6 +66,8 @@ from repro.service.client import kill_worker, remote_sweep, service_stats
 from repro.store import ResultStore
 from repro.zoo.registry import ZooError
 
+from helpers import UnpicklableStore
+
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
 
 
@@ -509,6 +511,41 @@ class TestFleet:
         assert hung.error.startswith("DeadlineExceeded")
         assert hung.timed_out
         assert hung.attempts >= 2  # one strike per expired lease
+
+    def test_lease_grace_counted_once_per_lease(self):
+        # The lease budget is timeout x attempts x points + lease_grace:
+        # the policy's own grace is the process pool's, not the fleet's.
+        with _fleet(lease_grace=0.1, quarantine_strikes=1) as (server, _workers):
+            start = time.monotonic()
+            remote = remote_sweep(
+                _sleepy, [0, "hang"],
+                connect=server.address, shard_size=1,
+                deadline=DeadlinePolicy(timeout=0.3, grace=5.0),
+            )
+            elapsed = time.monotonic() - start
+        assert remote[0].value == 0
+        assert remote[1].timed_out
+        assert elapsed < 3.0
+
+    def test_remote_survey_banks_in_the_callers_store(self, tmp_path):
+        # Each family is one fleet job; the store never leaves this process.
+        store = UnpicklableStore(tmp_path / "survey.sqlite")
+        with _fleet() as (server, _workers):
+            cold = zoo.survey(
+                tag="synthetic", executor="remote", remote=server.address,
+                store=store,
+            )
+            warm = zoo.survey(
+                tag="synthetic", executor="remote", remote=server.address,
+                store=store,
+            )
+        assert len(cold) == 2 and all(r.ok and not r.cached for r in cold.values())
+        assert all(r.cached for r in warm.values())
+        assert {n: r.value for n, r in warm.items()} == {
+            n: r.value for n, r in cold.items()
+        }
+        assert len(store) == 2
+        store.close()
 
     def test_retry_policy_applies_in_worker(self):
         injected = _FlakyOnce()
@@ -1112,18 +1149,6 @@ class TestInterrupts:
             sweep(_interrupt_at_three, [0, 1, 2, 3, 4], executor="serial")
         assert [r.value for r in exc.value.partial] == [0, 1, 2]
         assert isinstance(exc.value, KeyboardInterrupt)  # still a ^C
-
-    def test_thread_interrupt_carries_partials(self):
-        with pytest.raises(SweepInterrupted) as exc:
-            sweep(
-                _interrupt_at_three, [0, 1, 2, 3, 4],
-                executor="thread", max_workers=1,
-            )
-        values = [r.value for r in exc.value.partial]
-        # Point 3 raised, so it can never be in the salvage; the pool
-        # worker may or may not have reached 4 before the shutdown.
-        assert 3 not in values
-        assert [v for v in values if v < 3] == [0, 1, 2]
 
     def test_sweep_check_banks_partials_on_interrupt(self, tmp_path, monkeypatch):
         import importlib

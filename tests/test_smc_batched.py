@@ -23,6 +23,11 @@ from repro.viterbi import ViterbiModelConfig, build_reduced_model
 from helpers import gamblers_ruin, knuth_yao_die, two_state_chain
 
 
+def _die(point):
+    """A picklable sweep builder: the die at every point."""
+    return knuth_yao_die()
+
+
 @pytest.fixture(scope="module")
 def viterbi_chain():
     return build_reduced_model(ViterbiModelConfig()).chain
@@ -247,7 +252,7 @@ class TestEngineAndSweepIntegration:
         guarantee = analyzer.check("P=? [ F<=3 done ]")
         assert guarantee.is_exact and guarantee.samples == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_sweep_check_backends(self, executor):
         points = [{"i": 0}, {"i": 1}, {"i": 2}]
         exact = sweep_check(
@@ -273,15 +278,15 @@ class TestEngineAndSweepIntegration:
     def test_sweep_check_is_executor_independent(self):
         points = [{"i": i} for i in range(4)]
         serial = sweep_check(
-            lambda p: knuth_yao_die(), points, "P=? [ F<=3 done ]",
+            _die, points, "P=? [ F<=3 done ]",
             backend="apmc", smc=SmcConfig(epsilon=0.05), executor="serial",
         )
-        threaded = sweep_check(
-            lambda p: knuth_yao_die(), points, "P=? [ F<=3 done ]",
-            backend="apmc", smc=SmcConfig(epsilon=0.05), executor="thread",
+        process = sweep_check(
+            _die, points, "P=? [ F<=3 done ]",
+            backend="apmc", smc=SmcConfig(epsilon=0.05), executor="process",
         )
         assert [r.value.estimate for r in serial] == [
-            r.value.estimate for r in threaded
+            r.value.estimate for r in process
         ]
 
     def test_sweep_check_validation(self):

@@ -12,9 +12,9 @@ Covers the ISSUE-6 acceptance surface:
 * cold-vs-warm ``zoo.sweep`` equivalence (bit-identical values);
 * duplicate-point deduplication inside one sweep call;
 * sharded ``executor="process"`` results bit-identical to the
-  serial/thread path on the statistical backends;
-* the survey rewrite: dedicated ``label`` field, untouched ``point``,
-  one shared executor pass.
+  serial path on the statistical backends;
+* the survey: dedicated ``label`` field, untouched ``point``, one-point
+  sweeps whose store stays in the calling process.
 """
 
 import functools
@@ -39,6 +39,8 @@ from repro.store import (
     check_fingerprint,
     make_key,
 )
+
+from helpers import UnpicklableStore
 
 FORMULA = "P=? [ F<=50 goal ]"
 
@@ -298,6 +300,33 @@ class TestReadOnlyHits:
         fresh.close()
         assert ResultStore(path).stats().total_hits == 3
 
+    def test_get_answers_while_this_stores_put_waits(self, tmp_path):
+        # A put waiting out the busy timeout must not hold up reads.
+        import sqlite3
+        import threading
+        import time
+
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path, timeout=2.0)
+        store.put({"n": 1}, FORMULA, 0.5)
+        writer = sqlite3.connect(path)
+        writer.execute("BEGIN IMMEDIATE")
+        blocked = threading.Thread(
+            target=lambda: store.put({"n": 2}, FORMULA, 0.25), daemon=True
+        )
+        try:
+            blocked.start()
+            time.sleep(0.1)  # the put now waits for the write lock
+            start = time.monotonic()
+            assert store.get({"n": 1}, FORMULA).value == 0.5
+            assert time.monotonic() - start < 0.1
+        finally:
+            writer.rollback()
+            writer.close()
+            blocked.join(timeout=5.0)
+        assert store.get({"n": 2}, FORMULA).value == 0.25
+        store.close()
+
     def test_buffered_hits_are_written_by_put_and_close(self, tmp_path):
         path = tmp_path / "s.sqlite"
         store = ResultStore(path)
@@ -335,6 +364,41 @@ class TestReadOnlyHits:
             sys.setswitchinterval(interval)
         store.close()
         assert ResultStore(path).stats().total_hits == 300
+
+    def test_hits_counted_while_puts_flush_them(self, tmp_path):
+        # Reads buffer hits under the read lock while each put flushes
+        # the buffer under the writer lock: no count may be lost.
+        import sys
+        import threading
+
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        store.put({"n": 1}, FORMULA, 0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [store.get({"n": 1}, FORMULA) for _ in range(50)]
+                )
+                for _ in range(4)
+            ] + [
+                threading.Thread(
+                    target=lambda w=w: [
+                        store.put({"w": w, "i": i}, FORMULA, 0.25) for i in range(20)
+                    ]
+                )
+                for w in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
+        assert ResultStore(path).stats().total_hits == 200
 
     def test_cli_sweep_twice_counts_the_second_runs_hits(self, tmp_path):
         import subprocess
@@ -820,7 +884,7 @@ class TestShardedProcessSweep:
 
 
 # ----------------------------------------------------------------------
-# Survey: label field, untouched points, one shared pass
+# Survey: label field, untouched points, the store stays in the caller
 # ----------------------------------------------------------------------
 
 class TestSurvey:
@@ -832,17 +896,27 @@ class TestSurvey:
 
     def test_shared_pass_matches_serial(self):
         serial = zoo.survey(executor="serial")
-        threaded = zoo.survey(executor="thread")
-        assert set(serial) == set(threaded)
+        process = zoo.survey(executor="process")
+        assert set(serial) == set(process)
         for name in serial:
-            assert serial[name].value == threaded[name].value
+            assert serial[name].value == process[name].value
 
     def test_survey_store_warm_pass_is_cached(self, tmp_path):
         store = ResultStore(tmp_path / "sv.sqlite")
         cold = zoo.survey(executor="serial", store=store)
-        warm = zoo.survey(executor="thread", store=store)
+        warm = zoo.survey(executor="process", store=store)
         assert all(not r.cached for r in cold.values())
         assert all(r.cached for r in warm.values())
         assert {n: r.value for n, r in warm.items()} == {
             n: r.value for n, r in cold.items()
         }
+
+    def test_process_survey_banks_in_the_callers_store(self, tmp_path):
+        # A store that cannot be pickled: it must never reach a worker.
+        store = UnpicklableStore(tmp_path / "survey.sqlite")
+        cold = zoo.survey(tag="synthetic", executor="process", store=store)
+        warm = zoo.survey(tag="synthetic", executor="process", store=store)
+        assert len(cold) == 2 and all(r.ok and not r.cached for r in cold.values())
+        assert all(r.cached for r in warm.values())
+        assert len(store) == 2
+        store.close()

@@ -289,7 +289,7 @@ class TestZooSweep:
             (("num_y_levels", 3), ("snr_db", 8.0))
         ] < by_point[(("num_y_levels", 3), ("snr_db", 4.0))]
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_formula_parsed_once_per_sweep(self, executor, monkeypatch):
         parses = count_parses(monkeypatch)
         results = zoo.sweep(
@@ -316,9 +316,9 @@ class TestZooSweep:
             axes={"snr_db": [4.0, 8.0]}, backend="apmc", smc=smc
         )
         serial = zoo.sweep("mimo-1xN", executor="serial", **kwargs)
-        threaded = zoo.sweep("mimo-1xN", executor="thread", **kwargs)
+        process = zoo.sweep("mimo-1xN", executor="process", **kwargs)
         assert [r.value.estimate for r in serial] == [
-            r.value.estimate for r in threaded
+            r.value.estimate for r in process
         ]
 
     def test_axes_and_points_are_exclusive(self):
@@ -432,6 +432,12 @@ class TestCli:
         assert zoo_main(["survey", "--executor", "serial"]) == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+
+    def test_thread_executor_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            zoo_main(["sweep", "birth-death", "-g", "n=8", "--executor", "thread"])
+        assert exc.value.code == 2
+        assert "remote" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
