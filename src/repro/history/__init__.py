@@ -9,12 +9,13 @@ versions?".
 
 Three layers, bottom-up:
 
-* :mod:`repro.store.history` / :meth:`ResultStore.history` — raw
-  per-salt points and two-salt diffs (store layer);
+* :mod:`repro.store.history` / :meth:`ResultStore.history` — banked
+  rows grouped into guarantees, the one drift rule, and two-salt
+  diffs (store layer);
 * :mod:`repro.history.trend` — :class:`TrendReport` analytics over a
-  family's sweep grid: per-series drift, regression verdicts honoring
-  :class:`~repro.resilience.ValidationWarning` records, per-axis
-  summaries;
+  family's sweep grid: per-series drift, regression verdicts that flag
+  a value failing :func:`~repro.resilience.validate_guarantee` for its
+  formula, per-axis summaries;
 * :mod:`repro.history.render` — the self-contained HTML dashboard
   (inline SVG sparklines, stdlib only) the service front-end serves
   at ``GET /dashboard``.

@@ -14,6 +14,7 @@ readable without hover, and a dark mode driven by
 from __future__ import annotations
 
 import html
+import math
 from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 from .trend import TrendReport
@@ -37,13 +38,15 @@ def sparkline(
 ) -> str:
     """Inline-SVG sparkline of one metric trajectory.
 
-    ``None`` entries (non-numeric versions) are skipped.  Flat series
-    draw a midline; single points draw a dot.  The newest point is
-    emphasized with a filled marker, matching the "direct-label the
-    latest value" convention of the surrounding table.
+    ``None`` entries (non-numeric versions) and NaN or infinite values
+    (no place on the axis) are skipped.  Flat series draw a midline;
+    single points draw a dot.  The newest point is emphasized with a
+    filled marker, matching the "direct-label the latest value"
+    convention of the surrounding table.
     """
     points = [
-        (i, v) for i, v in enumerate(values) if v is not None
+        (i, v) for i, v in enumerate(values)
+        if v is not None and math.isfinite(v)
     ]
     if not points:
         return (

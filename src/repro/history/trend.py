@@ -3,12 +3,11 @@
 :func:`trend_report` scans one :class:`~repro.store.ResultStore` and
 folds every banked row of one zoo family into per-guarantee
 :class:`TrendSeries` — one series per logical ``(scenario, formula,
-backend, config)`` identity, its points ordered by insertion across
-salts.  The :class:`TrendReport` on top answers the fleet-operator
-questions directly: the maximum drift anywhere in the grid, which
-series regressed beyond tolerance, which carry
-:class:`~repro.resilience.ValidationWarning` flags, and per-axis
-summaries (which swept parameter values drift worst).
+backend, config)`` identity, its rows in version order.  The
+:class:`TrendReport` on top answers the fleet-operator questions
+directly: the maximum drift anywhere in the grid, which series
+regressed beyond tolerance, which hold a value that fails validation,
+and per-axis summaries (which swept parameter values drift worst).
 
 Everything here is pure, stdlib-only computation over store rows; the
 HTML rendering lives in :mod:`repro.history.render` and the CLI/HTTP
@@ -17,10 +16,13 @@ surfaces in :mod:`repro.zoo.cli` / :mod:`repro.service.frontend`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..store.history import DRIFT_TOLERANCE, HistoryPoint, relative_drift
+from ..resilience.validate import formula_kind, validate_guarantee
+from ..store.history import DRIFT_TOLERANCE, classify_pair, guarantees
 from ..store.result_store import ResultStore, StoredResult, canonical
 
 __all__ = [
@@ -57,14 +59,14 @@ def scenario_params(scenario: Any) -> Dict[str, Any]:
 class TrendSeries:
     """One logical guarantee's trajectory across salts.
 
-    ``points`` are in insertion (version) order; ``params`` is the
-    scenario's parameter dict when the identity is zoo-shaped.  The
-    verdict honours validation flags: a series whose banked values
-    carry :class:`~repro.resilience.ValidationWarning` records is
-    ``"flagged"`` regardless of drift, a numeric change beyond the
-    tolerance anywhere along the trajectory is ``"drift"``, everything
-    else is ``"stable"`` (including single-version series, which have
-    nothing to drift against yet).
+    ``points`` are its banked rows in version order; ``params`` is the
+    scenario's parameter dict when the identity is zoo-shaped.  A
+    series holding a value that fails
+    :func:`~repro.resilience.validate_guarantee` for its formula is
+    ``"flagged"`` regardless of drift, a drift beyond the tolerance
+    anywhere along the trajectory is ``"drift"``, everything else is
+    ``"stable"`` (including single-version series, which have nothing
+    to drift against yet).
     """
 
     family: Optional[str]
@@ -72,7 +74,7 @@ class TrendSeries:
     formula: str
     backend: str
     config: Any
-    points: List[HistoryPoint] = field(default_factory=list)
+    points: List[StoredResult] = field(default_factory=list)
     tolerance: float = DRIFT_TOLERANCE
 
     @property
@@ -85,19 +87,23 @@ class TrendSeries:
         """The trendable scalar of every point, in version order."""
         return [p.metric for p in self.points]
 
-    @property
+    @cached_property
     def drift(self) -> float:
-        """Largest relative step between consecutive versions."""
-        steps = [
-            relative_drift(a, b)
-            for a, b in zip(self.metrics, self.metrics[1:])
-        ]
-        return max((s for s in steps if s is not None), default=0.0)
+        """Largest :func:`~repro.store.history.classify_pair` step
+        between versions (``inf`` for a non-numeric change)."""
+        largest = 0.0
+        for a, b in zip(self.points, self.points[1:]):
+            status, step = classify_pair(a.value, b.value, self.tolerance)
+            if step is None:
+                step = math.inf if status == "drifted" else 0.0
+            largest = max(largest, step)
+        return largest
 
-    @property
+    @cached_property
     def flagged(self) -> bool:
-        """True when any banked point carried validation warnings."""
-        return any(p.flagged for p in self.points)
+        """True when some value fails validation for the formula."""
+        kind = formula_kind(self.formula)
+        return any(validate_guarantee(p.value, kind=kind) for p in self.points)
 
     @property
     def verdict(self) -> str:
@@ -107,11 +113,6 @@ class TrendSeries:
         if self.drift > self.tolerance:
             return "drift"
         return "stable"
-
-    @property
-    def latest(self) -> Optional[HistoryPoint]:
-        """The newest banked point (``None`` on an empty series)."""
-        return self.points[-1] if self.points else None
 
     def label(self) -> str:
         """Compact identity: sorted params + backend."""
@@ -263,35 +264,23 @@ def trend_report(
 ) -> TrendReport:
     """Fold one family's banked rows into a :class:`TrendReport`.
 
-    Rows are grouped by logical identity — ``(scenario, formula,
-    backend, config)`` — and each group becomes one
-    :class:`TrendSeries` ordered by creation time (per identity,
-    creation order *is* insertion order: an upsert keeps the original
-    ``created`` stamp).  ``formula=`` / ``backend=`` narrow the scan.
+    Each guarantee (:func:`repro.store.history.guarantees`) becomes
+    one :class:`TrendSeries`.  ``formula=`` / ``backend=`` narrow the
+    scan.
     """
     rows = store.query(family=family, backend=backend, formula=formula)
-    groups: Dict[Tuple, List[StoredResult]] = {}
-    for row in rows:
-        ident = (
-            canonical(row.scenario), row.formula, row.backend,
-            canonical(row.config),
+    series = [
+        TrendSeries(
+            family=group[0].family,
+            scenario=group[0].scenario,
+            formula=group[0].formula,
+            backend=group[0].backend,
+            config=group[0].config,
+            points=group,
+            tolerance=tolerance,
         )
-        groups.setdefault(ident, []).append(row)
-    series = []
-    for group in groups.values():
-        group.sort(key=lambda r: (r.created, r.salt))
-        first = group[0]
-        series.append(
-            TrendSeries(
-                family=first.family,
-                scenario=first.scenario,
-                formula=first.formula,
-                backend=first.backend,
-                config=first.config,
-                points=[HistoryPoint.of(row) for row in group],
-                tolerance=tolerance,
-            )
-        )
+        for group in guarantees(rows)
+    ]
     series.sort(key=lambda s: (s.formula, s.backend, sorted(
         (k, repr(v)) for k, v in s.params.items()
     )))

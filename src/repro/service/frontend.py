@@ -54,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import math
 import threading
 import time
 from dataclasses import asdict, is_dataclass
@@ -182,6 +183,20 @@ def _public_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return repr(value)
+
+
+def _finite(obj: Any) -> Any:
+    """``obj`` with each non-finite float replaced by its ``str``
+    (``"nan"``, ``"inf"``, ``"-inf"``): RFC 8259 JSON has no token for
+    them, and a reward such as ``R=? [ F goal ]`` is legitimately
+    ``inf``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(item) for item in obj]
+    return obj
 
 
 class _BadRequest(ValueError):
@@ -521,8 +536,9 @@ class Frontend:
         response is every banked value of that ``(scenario, formula,
         backend)`` identity across *all* salts (code versions) in
         insertion order, each point carrying its salt, config
-        fingerprint, provenance and validation warnings.  Purely a
-        store read — never touches the engine or the fleet.
+        fingerprint, provenance and the warnings validation finds in
+        its value for the formula.  Purely a store read — never
+        touches the engine or the fleet.
         """
         if self.store is None:
             return 503, {
@@ -776,7 +792,9 @@ class FrontendServer:
                 body = payload.encode("utf-8")
                 content_type = "text/html; charset=utf-8"
             else:
-                body = json.dumps(payload, indent=2, default=repr).encode("utf-8")
+                body = json.dumps(
+                    _finite(payload), indent=2, default=repr, allow_nan=False
+                ).encode("utf-8")
                 content_type = "application/json"
             extra = ""
             if (

@@ -24,7 +24,6 @@ True
 from .history import (
     DRIFT_TOLERANCE,
     DiffEntry,
-    HistoryPoint,
     SaltDiff,
     relative_drift,
 )
@@ -45,7 +44,6 @@ from .result_store import (
 __all__ = [
     "DRIFT_TOLERANCE",
     "DiffEntry",
-    "HistoryPoint",
     "NUMERICS_REVISION",
     "SCHEMA_VERSION",
     "ResultStore",

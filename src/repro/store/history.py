@@ -1,17 +1,19 @@
-"""Cross-salt history types: how one guarantee moved across versions.
+"""Cross-salt history: how one guarantee moved across versions.
 
 The store's cache-key contract makes the ``salt`` the code/version
 axis: every row is banked under the salt its store was opened with, so
 one sqlite file accumulates the *same* logical guarantee — identical
 ``(scenario, formula, backend, config)`` — once per code version.
-This module is the vocabulary for reading that axis back:
+This module reads that axis back from banked rows
+(:class:`~repro.store.StoredResult`):
 
-* :class:`HistoryPoint` — one banked value of one guarantee under one
-  salt, in insertion order (what :meth:`ResultStore.history` returns);
+* :func:`guarantees` — rows grouped into logical guarantees, each in
+  version order (what :meth:`ResultStore.compare` and
+  :func:`repro.history.trend_report` both fold);
 * :class:`DiffEntry` / :class:`SaltDiff` — the classified comparison
   of two salts' rows (what :meth:`ResultStore.compare` returns): each
-  shared logical key is ``unchanged``, ``drifted`` (relative change
-  beyond a tolerance), ``appeared`` or ``vanished``.
+  shared logical key is ``unchanged``, ``drifted`` (the one drift
+  rule, :func:`classify_pair`), ``appeared`` or ``vanished``.
 
 Pure data + classification logic; the SQL lives in
 :mod:`repro.store.result_store` and the trend analytics built on top
@@ -21,18 +23,20 @@ in :mod:`repro.history`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..resilience.validate import numeric_value
 
 __all__ = [
     "DRIFT_TOLERANCE",
-    "HistoryPoint",
     "DiffEntry",
     "SaltDiff",
     "relative_drift",
     "classify_pair",
+    "guarantees",
 ]
 
 #: Default relative tolerance separating float round-off from a real
@@ -46,73 +50,34 @@ def relative_drift(a: Optional[float], b: Optional[float]) -> Optional[float]:
 
     ``|b - a| / max(|a|, |b|)`` — symmetric, defined at zero (two
     zeros drift by 0.0), and scale-free so BERs at 1e-9 and
-    probabilities at 0.99 share one tolerance.
+    probabilities at 0.99 share one tolerance.  A move to or from a
+    non-finite value drifts by ``inf``; two NaNs drift by 0.0.
     """
     if a is None or b is None:
         return None
-    if a == b:
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(b - a) / scale
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / max(abs(a), abs(b))
 
 
-@dataclass
-class HistoryPoint:
-    """One banked value of one logical guarantee under one salt.
-
-    The row's provenance travels with it — ``seconds`` is the original
-    compute time, ``samples`` the statistical sample count, and
-    ``warnings`` the :class:`~repro.resilience.ValidationWarning`
-    records the value was flagged with when it was banked.
+def guarantees(rows: Iterable[Any]) -> List[List[Any]]:
+    """Rows grouped by ``(scenario, formula, backend, config)``: one
+    list per guarantee, each in ``(created, salt)`` order, which is
+    version order (an upsert keeps ``created``), and the lists in the
+    order of their first rows.
     """
+    from .result_store import canonical
 
-    salt: str
-    value: Any
-    seconds: float
-    samples: int
-    created: float
-    config: Any = None
-    key: str = ""
-    warnings: Tuple[Any, ...] = ()
-
-    @classmethod
-    def of(cls, row: Any) -> "HistoryPoint":
-        """One history point from a :class:`~repro.store.StoredResult`,
-        its provenance preserved."""
-        return cls(
-            salt=row.salt,
-            value=row.value,
-            seconds=row.seconds,
-            samples=row.samples,
-            created=row.created,
-            config=row.config,
-            key=row.key,
-            warnings=tuple(getattr(row.value, "warnings", ()) or ()),
+    groups: Dict[Tuple[str, str, str, str], List[Any]] = {}
+    for row in sorted(rows, key=attrgetter("created", "salt")):
+        ident = (
+            canonical(row.scenario), row.formula, row.backend,
+            canonical(row.config),
         )
-
-    @property
-    def metric(self) -> Optional[float]:
-        """The trendable scalar inside :attr:`value`
-        (:func:`~repro.resilience.numeric_value`); ``None`` when it has
-        none."""
-        return numeric_value(self.value)
-
-    @property
-    def flagged(self) -> bool:
-        """True when the banked value carried validation warnings."""
-        return bool(self.warnings or getattr(self.value, "warnings", ()))
-
-    def describe(self) -> str:
-        """One human line: salt, metric, provenance."""
-        metric = self.metric
-        shown = f"{metric:.6g}" if metric is not None else repr(self.value)
-        flags = f"  !! {len(self.warnings)} warning(s)" if self.warnings else ""
-        return (
-            f"{self.salt}: {shown}"
-            f"  ({self.seconds:.3f}s, {self.samples} samples){flags}"
-        )
+        groups.setdefault(ident, []).append(row)
+    return list(groups.values())
 
 
 def classify_pair(
@@ -121,7 +86,8 @@ def classify_pair(
     """``("unchanged" | "drifted", relative drift)`` for two values.
 
     Numeric values (after :func:`~repro.resilience.numeric_value`
-    unwrapping) drift when the relative change exceeds ``tolerance``;
+    unwrapping) drift when :func:`relative_drift` exceeds
+    ``tolerance``, so a move to or from a non-finite value always does;
     non-numeric values compare by equality of their store encoding and
     drift with ``None`` as the magnitude.
     """
@@ -195,6 +161,27 @@ class SaltDiff:
     drifted: List[DiffEntry] = field(default_factory=list)
     appeared: List[DiffEntry] = field(default_factory=list)
     vanished: List[DiffEntry] = field(default_factory=list)
+
+    def add(self, a: Any, b: Any) -> None:
+        """File one guarantee from its rows under :attr:`salt_a` and
+        :attr:`salt_b`; either may be ``None`` (appeared / vanished)."""
+        base = a or b
+        entry = DiffEntry(
+            scenario=base.scenario,
+            formula=base.formula,
+            backend=base.backend,
+            config=base.config,
+            family=base.family,
+            status="appeared" if a is None else "vanished",
+            value_a=a.value if a else None,
+            value_b=b.value if b else None,
+        )
+        if a is not None and b is not None:
+            entry.status, entry.drift = classify_pair(
+                a.value, b.value, self.tolerance
+            )
+        # Each status names the list that holds its entries.
+        getattr(self, entry.status).append(entry)
 
     @property
     def entries(self) -> List[DiffEntry]:

@@ -65,15 +65,14 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.analyzer import Guarantee
 from ..engine.config import SmcConfig, SolverConfig
+from ..resilience.validate import (
+    ValidationWarning,
+    numeric_value,
+    validate_guarantee,
+)
 from ..smc.hoeffding import ApmcResult
 from ..smc.sprt import SprtResult
-from .history import (
-    DRIFT_TOLERANCE,
-    DiffEntry,
-    HistoryPoint,
-    SaltDiff,
-    classify_pair,
-)
+from .history import DRIFT_TOLERANCE, SaltDiff, guarantees
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -238,29 +237,37 @@ def encode_value(value: Any) -> str:
 
 
 def decode_value(payload: str) -> Any:
-    """Inverse of :func:`encode_value`."""
-    wrapped = json.loads(payload)
-    kind = wrapped["kind"]
+    """Inverse of :func:`encode_value`; a payload it did not write
+    raises :class:`StoreError` naming what is wrong with it."""
+    try:
+        wrapped = json.loads(payload)
+        kind, data = wrapped["kind"], wrapped["data"]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise StoreError(
+            f"stored value is not a JSON {{kind, data}} object"
+            f" ({type(exc).__name__}: {exc}): {payload!r:.80}"
+        ) from None
     if kind == "json":
-        return wrapped["data"]
-    cls = _VALUE_TYPES.get(kind)
+        return data
+    cls = _VALUE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise StoreError(f"unknown stored value kind {kind!r}")
-    data = wrapped["data"]
+    if not isinstance(data, dict):
+        raise StoreError(f"stored {kind} value is not an object: {data!r:.80}")
     names = {f.name for f in fields(cls)}
     data = {k: v for k, v in data.items() if k in names}
-    # Validation warnings are nested dataclasses: JSON flattens them to
-    # dicts, so rebuild the records for a bit-equal warm round-trip.
-    if data.get("warnings"):
-        from ..resilience.validate import ValidationWarning
-
-        data["warnings"] = tuple(
-            ValidationWarning(**w) if isinstance(w, dict) else w
-            for w in data["warnings"]
-        )
-    elif "warnings" in data:
-        data["warnings"] = ()
-    return cls(**data)
+    try:
+        # Validation warnings are nested dataclasses: JSON flattens them
+        # to dicts, so rebuild the records for a bit-equal round-trip.
+        if "warnings" in data:
+            data["warnings"] = tuple(
+                ValidationWarning(**w) for w in data["warnings"] or ()
+            )
+        return cls(**data)
+    except TypeError as exc:
+        raise StoreError(
+            f"stored {kind} value does not fit {cls.__name__}: {exc}"
+        ) from None
 
 
 @dataclass
@@ -282,6 +289,17 @@ class StoredResult:
     hits: int = 0
     salt: str = ""
 
+    @property
+    def metric(self) -> Optional[float]:
+        """The trendable scalar inside :attr:`value` (``None`` if none)."""
+        return numeric_value(self.value)
+
+    @property
+    def warnings(self) -> Tuple[ValidationWarning, ...]:
+        """What :func:`~repro.resilience.validate_guarantee` finds wrong
+        with :attr:`value` as an answer to :attr:`formula`."""
+        return validate_guarantee(self.value, formula=self.formula)
+
     def describe(self) -> str:
         """One human-readable block: identity, salt, value, provenance."""
         value = self.value
@@ -297,7 +315,8 @@ class StoredResult:
 
 @dataclass
 class StoreStats:
-    """Aggregate view of one store file (the ``store stats`` CLI)."""
+    """Aggregate view of one store file (the ``store stats`` CLI);
+    ``salts`` counts rows per salt, in first-insertion order."""
 
     path: str
     salt: str
@@ -664,19 +683,6 @@ class ResultStore:
 
     # -- survey history (cross-salt) ------------------------------------------
 
-    def salts(self) -> List[str]:
-        """Every distinct salt in the file, in first-insertion order.
-
-        The salt axis *is* the version axis (the default salt embeds
-        the package version and store schema), so this is the ordered
-        list of code versions that ever banked into this file.
-        """
-        with self._lock:
-            rows = self._connection().execute(
-                "SELECT salt FROM results GROUP BY salt ORDER BY MIN(rowid)"
-            ).fetchall()
-        return [row[0] for row in rows]
-
     def history(
         self,
         scenario: Any,
@@ -685,17 +691,16 @@ class ResultStore:
         *,
         config: Any = None,
         salt: Optional[str] = None,
-    ) -> List[HistoryPoint]:
+    ) -> List[StoredResult]:
         """How one logical guarantee moved across salts (versions).
 
         Matches rows on the stored ``(scenario, formula, backend)``
         identity *across every salt* — the inverse of :meth:`get`,
-        which only ever sees the store's own salt — and returns one
-        :class:`~repro.store.history.HistoryPoint` per banked row, in
-        insertion order.  ``config=`` narrows to one exact backend
-        fingerprint (pass the :func:`check_fingerprint` dict); by
-        default every fingerprint's trajectory is returned, each point
-        carrying its ``config``.  ``salt=`` restricts to one version.
+        which only ever sees the store's own salt — and returns each
+        banked :class:`StoredResult` row, in insertion order.
+        ``config=`` narrows to one exact backend fingerprint (pass the
+        :func:`check_fingerprint` dict); by default every fingerprint's
+        trajectory is returned.  ``salt=`` restricts to one version.
         """
         clauses = ["scenario = ?", "formula = ?", "backend = ?"]
         params: List[Any] = [canonical(scenario), formula, backend]
@@ -711,7 +716,7 @@ class ResultStore:
         )
         with self._lock:
             rows = self._connection().execute(sql, params).fetchall()
-        return [HistoryPoint.of(self._row_to_result(row)) for row in rows]
+        return [self._row_to_result(row) for row in rows]
 
     def compare(
         self,
@@ -725,57 +730,22 @@ class ResultStore:
 
         Each logical key — ``(scenario, formula, backend, config)`` —
         present under either salt is classified as ``unchanged``,
-        ``drifted`` (relative metric change beyond ``tolerance``; see
-        :func:`repro.store.history.classify_pair`), ``appeared`` (only
-        under ``salt_b``) or ``vanished`` (only under ``salt_a``).
-        ``family=`` narrows the comparison to one zoo family.
+        ``drifted`` (see :func:`repro.store.history.classify_pair`),
+        ``appeared`` (only under ``salt_b``) or ``vanished`` (only
+        under ``salt_a``).  ``family=`` narrows the comparison to one
+        zoo family.
         """
-        where = " WHERE salt = ?" + (" AND family = ?" if family else "")
-
-        def rows_for(salt: str) -> Dict[Tuple, StoredResult]:
-            """One salt's rows, keyed by logical identity."""
-            params: List[Any] = [salt]
-            if family:
-                params.append(family)
-            with self._lock:
-                rows = self._connection().execute(
-                    f"SELECT {_COLUMNS} FROM results{where} ORDER BY rowid",
-                    params,
-                ).fetchall()
-            results = [self._row_to_result(row) for row in rows]
-            return {
-                (canonical(r.scenario), r.formula, r.backend,
-                 canonical(r.config)): r
-                for r in results
-            }
-
-        side_a, side_b = rows_for(salt_a), rows_for(salt_b)
+        sql = f"SELECT {_COLUMNS} FROM results WHERE salt IN (?, ?)"
+        params: List[Any] = [salt_a, salt_b]
+        if family:
+            sql += " AND family = ?"
+            params.append(family)
+        with self._lock:
+            rows = self._connection().execute(sql, params).fetchall()
         diff = SaltDiff(salt_a=salt_a, salt_b=salt_b, tolerance=tolerance)
-        for ident in list(side_a) + [k for k in side_b if k not in side_a]:
-            a, b = side_a.get(ident), side_b.get(ident)
-            base = a or b
-            entry = DiffEntry(
-                scenario=base.scenario,
-                formula=base.formula,
-                backend=base.backend,
-                config=base.config,
-                family=base.family,
-                status="",
-                value_a=a.value if a else None,
-                value_b=b.value if b else None,
-            )
-            if a is None:
-                entry.status = "appeared"
-                diff.appeared.append(entry)
-            elif b is None:
-                entry.status = "vanished"
-                diff.vanished.append(entry)
-            else:
-                entry.status, entry.drift = classify_pair(
-                    a.value, b.value, tolerance
-                )
-                (diff.drifted if entry.status == "drifted"
-                 else diff.unchanged).append(entry)
+        for group in guarantees(self._row_to_result(row) for row in rows):
+            by_salt = {row.salt: row for row in group}
+            diff.add(by_salt.get(salt_a), by_salt.get(salt_b))
         return diff
 
     def invalidate(
@@ -830,6 +800,7 @@ class ResultStore:
             salts = dict(
                 conn.execute(
                     "SELECT salt, COUNT(*) FROM results GROUP BY salt"
+                    " ORDER BY MIN(rowid)"
                 ).fetchall()
             )
         try:

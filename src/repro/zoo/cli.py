@@ -186,6 +186,21 @@ def _parse_policies(args: argparse.Namespace):
     return retry, getattr(args, "point_timeout", None)
 
 
+def _missing_coordinator(args: argparse.Namespace) -> bool:
+    """True (after printing the error) when ``--executor remote`` has
+    no coordinator address to connect to."""
+    missing = args.executor == "remote" and not (
+        args.connect or os.environ.get("REPRO_COORDINATOR")
+    )
+    if missing:
+        print(
+            "error: --executor remote requires --connect HOST:PORT"
+            " (or $REPRO_COORDINATOR)",
+            file=sys.stderr,
+        )
+    return missing
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.backend == "sprt" and args.theta is None:
         print("error: --backend sprt requires --theta", file=sys.stderr)
@@ -193,14 +208,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume and args.store is None:
         print("error: --resume requires --store PATH", file=sys.stderr)
         return 2
-    if args.executor == "remote" and not (
-        args.connect or os.environ.get("REPRO_COORDINATOR")
-    ):
-        print(
-            "error: --executor remote requires --connect HOST:PORT"
-            " (or $REPRO_COORDINATOR)",
-            file=sys.stderr,
-        )
+    if _missing_coordinator(args):
         return 2
     axes = _parse_axes(args.grid)
     smc = SmcConfig(
@@ -250,6 +258,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    if _missing_coordinator(args):
+        return 2
     retry, deadline = _parse_policies(args)
     with _open_store(args) as store:
         results = _survey(
@@ -323,14 +333,13 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _history_command(args: argparse.Namespace, store: Any) -> int:
     if args.history_command == "list":
         stats = store.stats()
-        salts = store.salts()
-        if not salts:
+        if not stats.salts:
             print(f"no banked results in {args.store}")
             return 0
-        rows = [[salt or "''", str(stats.salts.get(salt, 0))] for salt in salts]
+        rows = [[salt or "''", str(count)] for salt, count in stats.salts.items()]
         print(format_table(["salt (code version)", "rows"], rows))
         print(
-            f"{len(salts)} version(s), {len(store)} row(s) total,"
+            f"{len(stats.salts)} version(s), {stats.entries} row(s) total,"
             f" schema v{stats.schema_version}"
         )
         return 0

@@ -2,7 +2,7 @@
 
 Covers the cross-salt behavior end to end:
 
-* the store layer — ``salts()``, ``history()`` insertion ordering,
+* the store layer — ``stats().salts``, ``history()`` insertion ordering,
   ``compare()`` classification (unchanged / drifted / appeared /
   vanished) and its tolerance knob;
 * the v1 -> v2 schema migration (salt column added in place, old rows
@@ -17,9 +17,11 @@ Covers the cross-salt behavior end to end:
 """
 
 import json
+import math
 import sqlite3
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -37,8 +39,9 @@ from repro.resilience import ValidationWarning, numeric_value
 from repro.service import Coordinator, Frontend, FrontendServer
 from repro.store import (
     DRIFT_TOLERANCE,
-    HistoryPoint,
     ResultStore,
+    StoredResult,
+    check_fingerprint,
     relative_drift,
 )
 from repro.store.result_store import SCHEMA_VERSION
@@ -59,6 +62,37 @@ def _scen(family, **params):
     return _point_store_key(
         params, family=family, base_params=None, reduce=True
     )
+
+
+def _row(value, formula=FORMULA):
+    """One banked row holding ``value`` as the answer to ``formula``."""
+    return StoredResult(
+        key="k", scenario={}, family=None, formula=formula,
+        backend="exact", config={}, value=value, seconds=0.0, samples=0,
+    )
+
+
+def _seed_verdict_table(path):
+    """Five ``birth-death`` guarantees banked under salts v1 and v2.
+
+    n=8 holds still, n=9 turns NaN, the reward at n=10 turns infinite
+    (a legitimate reward), n=11's non-numeric value changes, and n=12
+    holds still at a probability out of [0, 1].
+    """
+    reward = "R=? [ F goal ]"
+    rows = {
+        8: (FORMULA, 0.4, 0.4),
+        9: (FORMULA, 0.5, math.nan),
+        10: (reward, 1.0, math.inf),
+        11: (FORMULA, {"a": 1}, {"a": 2}),
+        12: (FORMULA, 1.2, 1.2),
+    }
+    for version, salt in enumerate(("v1", "v2")):
+        with ResultStore(path, salt=salt) as store:
+            for n, (formula, *values) in rows.items():
+                store.put(_scen("birth-death", n=n), formula, values[version],
+                          family="birth-death")
+    return path
 
 
 def _seed_two_salts(path, *, drift_to=0.75):
@@ -102,8 +136,7 @@ class TestDriftPrimitives:
             alpha=0.01, beta=0.01,
         )
         assert numeric_value(sprt) == 0.0
-        point = HistoryPoint(salt="s", value=apmc, seconds=0.1, samples=100, created=0.0)
-        assert point.metric == 0.375
+        assert _row(apmc).metric == 0.375
 
     def test_relative_drift_symmetric_and_scale_free(self):
         assert relative_drift(0.5, 0.75) == pytest.approx(1 / 3)
@@ -112,12 +145,19 @@ class TestDriftPrimitives:
         assert relative_drift(0.0, 0.0) == 0.0
         assert relative_drift(None, 0.5) is None
 
+    def test_relative_drift_non_finite(self):
+        assert relative_drift(1.0, math.inf) == math.inf
+        assert relative_drift(0.5, math.nan) == math.inf
+        assert relative_drift(math.inf, -math.inf) == math.inf
+        assert relative_drift(math.nan, math.nan) == 0.0
+        assert relative_drift(math.inf, math.inf) == 0.0
+
     def test_history_point_flagged(self):
-        warn = ValidationWarning("range", "out of [0,1]", value=1.2)
-        g = Guarantee("P", FORMULA, 1.2, 2, 2, 0.0, warnings=(warn,))
-        point = HistoryPoint(salt="v1", value=g, seconds=0.0,
-                             samples=0, created=0.0)
-        assert point.flagged and point.metric == 1.2
+        # A row is flagged by what validation finds in its value.
+        g = Guarantee("P", FORMULA, 1.2, 2, 2, 0.0)
+        row = _row(g)
+        assert [w.code for w in row.warnings] == ["range"] and row.metric == 1.2
+        assert [w.code for w in _row(math.nan).warnings] == ["nan"]
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +168,7 @@ class TestStoreHistory:
     def test_salts_in_first_seen_order(self, tmp_path):
         db = _seed_two_salts(tmp_path / "h.sqlite")
         with ResultStore(db) as store:
-            assert store.salts() == ["v1", "v2"]
+            assert list(store.stats().salts) == ["v1", "v2"]
 
     def test_history_ordering_across_salts(self, tmp_path):
         db = _seed_two_salts(tmp_path / "h.sqlite")
@@ -241,13 +281,13 @@ class TestMigration:
         conn.commit()
         conn.close()
         with ResultStore(db, salt="new") as store:
-            assert store.salts() == [""]
+            assert list(store.stats().salts) == [""]
             row = store.query(limit=1)[0]
             assert row.salt == "" and row.value == 0.5
             # New writes land under the new salt, beside the legacy row.
             store.put(_scen("mimo-1xN", snr_db=4.0), FORMULA, 0.6,
                       backend="exact", family="mimo-1xN")
-            assert store.salts() == ["", "new"]
+            assert list(store.stats().salts) == ["", "new"]
             assert store.stats().salts == {"": 1, "new": 1}
 
 
@@ -293,6 +333,25 @@ class TestTrend:
         assert report.verdict == "flagged"
         assert report.series[0].flagged
 
+    def test_non_finite_and_non_numeric_moves(self, tmp_path, capsys):
+        db = _seed_verdict_table(tmp_path / "v.sqlite")
+        with ResultStore(db) as store:
+            report = trend_report(store, "birth-death")
+            diff = store.compare("v1", "v2")
+        verdicts = {s.params["n"]: s.verdict for s in report.series}
+        assert verdicts == {
+            8: "stable", 9: "flagged", 10: "drift", 11: "drift", 12: "flagged",
+        }
+        assert report.verdict == "flagged"
+        assert (len(diff.drifted), len(diff.unchanged)) == (3, 2)
+        # One drift rule: `history show` and `history diff` agree.
+        status = {scenario_params(e.scenario)["n"]: e.status for e in diff.entries}
+        for series in report.series:
+            moved = series.drift > report.tolerance
+            assert moved == (status[series.params["n"]] == "drifted")
+        assert cli_main(["history", "diff", "v1", "v2", "--store", str(db)]) == 1
+        assert "3 drifted" in capsys.readouterr().out
+
     def test_trend_reports_one_per_family(self, tmp_path):
         db = _seed_two_salts(tmp_path / "h.sqlite")
         with ResultStore(db, salt="v1") as store:
@@ -314,6 +373,11 @@ class TestRender:
         assert sparkline([]).startswith("<svg")  # empty-safe
         assert "<polyline" not in sparkline([0.5])  # single point: dot only
         assert "<polyline" in sparkline([0.5, None, 0.7])  # gaps skipped
+
+    def test_sparkline_skips_non_finite(self):
+        svg = sparkline([1.0, math.inf])
+        assert "nan" not in svg and "<polyline" not in svg
+        assert "<polyline" in sparkline([0.5, math.nan, 0.7])
 
     def test_dashboard_html(self, tmp_path):
         db = _seed_two_salts(tmp_path / "h.sqlite")
@@ -368,6 +432,32 @@ class TestHttpSurfaces:
             assert status == 200 and isinstance(page, str)
             assert "mimo-1xN" in page
             assert front.route("GET", "/dashboard?tolerance=nope")[0] == 400
+
+    def test_non_finite_values_served_as_strict_json(self, tmp_path):
+        def strict(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        formula = "R=? [ F goal ]"
+        with ResultStore(tmp_path / "inf.sqlite") as store:
+            store.put(_scen("birth-death", n=8), formula, math.inf,
+                      config=check_fingerprint("exact"), family="birth-death")
+            front = Frontend(Coordinator(salt="s"), store=store)
+            with FrontendServer(front, port=0) as server:
+                query = urllib.parse.urlencode(
+                    {"family": "birth-death", "n": 8, "formula": formula}
+                )
+                bodies = {}
+                for route in ("guarantee", "history"):
+                    url = f"http://{server.address}/{route}?{query}"
+                    with urllib.request.urlopen(url, timeout=10) as resp:
+                        bodies[route] = json.loads(
+                            resp.read(), parse_constant=strict
+                        )
+            # A route's payload keeps the Python float.
+            payload = front.route("GET", f"/guarantee?{query}")[1]
+        assert bodies["guarantee"]["value"] == "inf"
+        assert bodies["history"]["points"][0]["metric"] == "inf"
+        assert payload["value"] == math.inf
 
     def test_served_content_types(self, tmp_path):
         db = _seed_two_salts(tmp_path / "h.sqlite")

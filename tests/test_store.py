@@ -18,6 +18,7 @@ Covers the ISSUE-6 acceptance surface:
 """
 
 import functools
+import json
 import math
 import multiprocessing
 import os
@@ -37,6 +38,7 @@ from repro.store import (
     ResultStore,
     StoreError,
     check_fingerprint,
+    decode_value,
     make_key,
 )
 
@@ -147,6 +149,33 @@ class TestValueRoundTrip:
     def test_unjsonable_scenario_raises(self, store):
         with pytest.raises(StoreError, match="canonicalize"):
             store.put({"obj": object()}, FORMULA, 1.0)
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ("not json", "JSONDecodeError"),
+            ("[]", "kind, data"),
+            ('{"data": 1}', "kind, data"),
+            ('{"kind": "json"}', "kind, data"),
+            ('{"kind": "apmc", "data": 5}', "apmc value is not an object"),
+            ('{"kind": "sprt", "data": [1, 2]}', "sprt value is not an object"),
+            ('{"kind": "apmc", "data": {"estimate": 0.5}}',
+             "does not fit ApmcResult"),
+            (json.dumps({"kind": "guarantee", "data": {
+                **asdict(Guarantee("P", FORMULA, 0.5, 2, 2, 0.0)),
+                "warnings": [{"bogus": 1}],
+            }}), "does not fit Guarantee"),
+            ('{"kind": ["apmc"], "data": {}}', "unknown stored value kind"),
+        ],
+        ids=[
+            "not-json", "list", "no-kind", "no-data", "apmc-number",
+            "sprt-list", "apmc-missing-fields", "guarantee-bogus-warning",
+            "list-kind",
+        ],
+    )
+    def test_malformed_payload_raises_store_error(self, payload, problem):
+        with pytest.raises(StoreError, match=problem):
+            decode_value(payload)
 
 
 # ----------------------------------------------------------------------

@@ -433,6 +433,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 failed" in out
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "birth-death", "-g", "n=8"], ["survey", "--tag", "synthetic"],
+    ])
+    def test_remote_without_coordinator_exits_2(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_COORDINATOR", raising=False)
+        assert zoo_main(command + ["--executor", "remote"]) == 2
+        assert "--executor remote requires --connect" in capsys.readouterr().err
+
     def test_thread_executor_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             zoo_main(["sweep", "birth-death", "-g", "n=8", "--executor", "thread"])
