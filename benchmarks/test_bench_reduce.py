@@ -14,7 +14,10 @@ Tracks the claims of the sparse-algebra rewrite of
   lumping fallback (build + refine + verified quotient), asserted to
   finish in single-digit seconds;
 * a deep chain: a 20,000-state ``birth-death`` chain, which lumps to
-  itself and, through the hop-distance seed, with no refinement round.
+  itself and, through the hop-distance seed, with no refinement round;
+* the identity shortcut: ``lump`` of a 10^5-state ``birth-death``
+  chain, its own coarsest lumping, returned without a quotient product
+  or its verification.
 
 The vectorized partition is asserted identical to the pure-Python
 reference — the benchmarks double as a correctness contract, like the
@@ -30,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro import zoo
-from repro.core.reductions import coarsest_lumping, quotient_by_partition
+from repro.core.reductions import coarsest_lumping, lump, quotient_by_partition
 from repro.core.reductions.lumping import _coarsest_lumping_reference
 
 #: 10^4-state baseline workload: 500 structural blocks of 20 states,
@@ -46,6 +49,9 @@ SCALE_BLOCKS = 5000
 #: Deep-chain workload: a path-like chain one hop longer per state, so
 #: a round-synchronous refiner would need n - 1 rounds without the seed.
 DEEP_PARAMS = {"n": 20_000}
+
+#: Identity-shortcut workload: a chain that is its own coarsest lumping.
+IDENTITY_PARAMS = {"n": 100_000}
 
 #: Wall-clock of each lumping flavour, recorded by the benchmarks below
 #: and asserted against the >= 20x bar at the end of the module.
@@ -181,3 +187,16 @@ def test_bench_lump_birth_death_deep(benchmark):
     assert scenario.extra["refine_rounds"] == 0
     benchmark.extra_info["reduce_seconds"] = scenario.reduce_seconds
     benchmark.extra_info["refine_seed_blocks"] = scenario.extra["refine_seed_blocks"]
+
+
+def test_bench_lump_birth_death_identity_1e5(benchmark):
+    """``lump`` of a 10^5-state birth-death chain.
+
+    One block per state, so ``lump`` hands back the input matrix and
+    initial distribution instead of building and verifying ``P @ I``.
+    """
+    chain = zoo.build("birth-death", IDENTITY_PARAMS, reduce=False).chain
+    result = benchmark(lambda: lump(chain, respect=["goal"]))
+    assert result.num_blocks == IDENTITY_PARAMS["n"]
+    assert result.chain.transition_matrix is chain.transition_matrix
+    assert result.refinement.rounds == 0

@@ -313,10 +313,29 @@ def lump(
     by it (verification is cheap and kept on as a safety net).  The
     returned :class:`~repro.core.reductions.abstraction.QuotientResult`
     carries the refinement provenance on ``.refinement``.
+
+    A chain that is its own coarsest lumping (one block per state, as
+    every birth-death chain is) skips the quotient product and its
+    verification: first-seen numbering makes that partition the
+    identity, so its quotient is the chain itself, bit for bit, with
+    labels and rewards restricted to ``respect``.
     """
     block_of, stats = coarsest_lumping_with_stats(
         chain, respect=respect, decimals=decimals
     )
+    n = chain.num_states
+    if n and stats.final_blocks == n:
+        def kept(vectors):
+            return {k: v for k, v in vectors.items() if respect is None or k in respect}
+
+        same = DTMC(
+            chain.transition_matrix,
+            chain.initial_distribution,
+            labels=kept(chain.labels),
+            rewards=kept(chain.rewards),
+            states=list(range(n)),
+        )
+        return QuotientResult(same, block_of, block_of[:, None].tolist(), refinement=stats)
     atol = 10.0 ** (-decimals) * 10
     result = quotient_by_partition(chain, block_of, atol=atol, respect=respect)
     result.refinement = stats

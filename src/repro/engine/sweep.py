@@ -842,7 +842,7 @@ def _canonical_point(point: Any) -> str:
 def sweep_check(
     build: Callable[[Any], Any],
     points: Sequence[Any],
-    formula: str,
+    formula,
     *,
     backend: str = "exact",
     theta: Optional[float] = None,
@@ -891,11 +891,12 @@ def sweep_check(
     are solved once: duplicates reuse the first occurrence's result
     (and, for statistical backends, its seed stream).
 
-    The formula is parsed once, up front (a :class:`~repro.pctl.PctlSyntaxError`
-    raises before any store traffic or worker starts): every point is
-    checked against that tree, and keyed and banked under its canonical
-    text ``str(parse_formula(formula))``, so two spellings of one
-    property share one store row.
+    ``formula`` is pCTL text or its parsed tree.  Text is parsed once,
+    up front (a :class:`~repro.pctl.PctlSyntaxError` raises before any
+    store traffic or worker starts): every point is checked against
+    that tree, and keyed and banked under its canonical text
+    ``str(parse_formula(formula))``, so two spellings of one property
+    share one store row.
 
     With ``store=`` (a :class:`repro.store.ResultStore`) the sweep is
     read-through cached: each distinct point is first looked up under
@@ -922,11 +923,12 @@ def sweep_check(
     to the result's ``warnings`` — downgraded to structured records,
     never silently accepted and never raised.
     """
-    from ..pctl import parse_formula  # deferred: repro.pctl imports the engine
+    # deferred: repro.pctl imports the engine
+    from ..pctl import StateFormula, parse_formula
 
     validate_backend(backend, theta)
     validate_executor(executor)
-    tree = parse_formula(formula)
+    tree = formula if isinstance(formula, StateFormula) else parse_formula(formula)
     formula = str(tree)
     points = list(points)
     config = SmcConfig.coerce(smc)

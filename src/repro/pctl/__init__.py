@@ -29,6 +29,7 @@ from .ast import (
     Until,
     VarComparison,
     WeakUntil,
+    step_horizon,
 )
 from .checker import CheckResult, ModelChecker, PctlSemanticsError, check
 from .parser import PctlSyntaxError, parse_formula
@@ -58,6 +59,7 @@ __all__ = [
     "Until",
     "VarComparison",
     "WeakUntil",
+    "step_horizon",
     "CheckResult",
     "ModelChecker",
     "PctlSemanticsError",

@@ -56,6 +56,7 @@ __all__ = [
     "LongRunReward",
     "Bound",
     "COMPARISON_OPS",
+    "step_horizon",
 ]
 
 #: Comparison operators allowed in atomic variable predicates and bounds.
@@ -370,3 +371,31 @@ class RewardQuery(StateFormula):
 
 
 Formula = Union[StateFormula]
+
+
+def step_horizon(node) -> Optional[int]:
+    """Total steps a formula's path operators look ahead, or ``None``.
+
+    Each bounded ``U``/``W``/``F``/``G`` counts its upper bound, ``X``
+    counts 1, and ``I=t`` and ``C<=t`` count ``t``; nested queries add
+    up.  ``None`` when any operator is unbounded (an unbounded path
+    operator, ``S``, ``R [ F ]`` or ``R [ S ]``): checking such a
+    formula costs solves, not a known number of matrix-vector steps.
+    """
+    if isinstance(node, (SteadyQuery, ReachReward, LongRunReward)):
+        return None
+    if isinstance(node, (Instantaneous, Cumulative)):
+        return node.time
+    if isinstance(node, (Until, WeakUntil, Eventually, Globally)):
+        if node.bound is None:
+            return None
+        total = node.bound
+    else:
+        total = 1 if isinstance(node, Next) else 0
+    for child in vars(node).values():
+        if isinstance(child, (StateFormula, PathFormula, RewardPath)):
+            steps = step_horizon(child)
+            if steps is None:
+                return None
+            total += steps
+    return total

@@ -376,9 +376,10 @@ class Frontend:
     ) -> str:
         """Submit the miss as a single-point sweep job; returns job id.
 
-        The job is exactly the single-point grid ``sweep_check`` would
-        run, built by the same :func:`~repro.engine.sweep.check_job` —
-        so the result is bit-identical and cache-compatible.
+        The job is exactly the single-point grid ``zoo.sweep`` would
+        run, built by the same :func:`~repro.zoo.sweep.point_builder`
+        and :func:`~repro.engine.sweep.check_job` — so the result is
+        bit-identical and cache-compatible.
 
         Degradation surface: a query already in flight shares its job
         unconditionally; a *new* job first has to pass the circuit
@@ -387,15 +388,16 @@ class Frontend:
         submit failure (coordinator shutting down / gone) records a
         breaker failure before surfacing as :class:`_Degraded`.
         """
-        from ..zoo.sweep import _build_point
+        from ..zoo.sweep import point_builder
         from .wire import encode
 
         run = check_job(
-            functools.partial(
-                _build_point,
-                family=query["family"],
-                base_params=None,
+            point_builder(
+                query["family"],
+                None,
                 reduce=query["reduce"],
+                backend=query["backend"],
+                tree=query["tree"],
             ),
             query["tree"],
             1,
@@ -795,7 +797,7 @@ class FrontendServer:
                 body = json.dumps(
                     _finite(payload), indent=2, default=repr, allow_nan=False
                 ).encode("utf-8")
-                content_type = "application/json"
+                content_type = "application/json; charset=utf-8"
             extra = ""
             if (
                 status in (429, 503)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from scipy import stats
-
 __all__ = [
     "BerEstimate",
     "wilson_interval",
@@ -36,6 +34,8 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95
         raise ValueError("need at least one trial")
     if not 0 <= errors <= trials:
         raise ValueError("errors must be within [0, trials]")
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     z = stats.norm.ppf(0.5 + confidence / 2.0)
     p = errors / trials
     denominator = 1.0 + z * z / trials
@@ -54,6 +54,8 @@ def clopper_pearson_interval(
     """Exact (conservative) Clopper-Pearson binomial interval."""
     if trials <= 0:
         raise ValueError("need at least one trial")
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     alpha = 1.0 - confidence
     lower = 0.0 if errors == 0 else stats.beta.ppf(
         alpha / 2, errors, trials - errors + 1
@@ -85,6 +87,8 @@ def required_trials(p: float, relative_error: float = 0.1,
     """
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
+    from scipy import stats  # deferred: scipy.stats is slow to import
+
     z = stats.norm.ppf(0.5 + confidence / 2.0)
     return math.ceil((z / relative_error) ** 2 * (1 - p) / p)
 

@@ -206,6 +206,26 @@ _VALUE_TYPES: Dict[str, type] = {
     "guarantee": Guarantee,
 }
 
+#: JSON types a scalar field accepts, by its annotation, the annotated
+#: type last.  ``bool`` is an ``int`` subclass, so the numeric
+#: annotations reject it explicitly.
+_SCALAR_TYPES: Dict[str, Tuple[type, ...]] = {
+    "float": (int, float),
+    "int": (int,),
+    "bool": (bool,),
+    "str": (str,),
+}
+
+#: Per value kind, every field's accepted JSON types (``None`` for a
+#: field that is not a scalar); built once.
+_FIELD_TYPES: Dict[str, Dict[str, Optional[Tuple[type, ...]]]] = {
+    kind: {
+        f.name: _SCALAR_TYPES.get(getattr(f.type, "__name__", f.type))
+        for f in fields(cls)
+    }
+    for kind, cls in _VALUE_TYPES.items()
+}
+
 
 def encode_value(value: Any) -> str:
     """Tagged-JSON text of one storable check value.
@@ -254,8 +274,18 @@ def decode_value(payload: str) -> Any:
         raise StoreError(f"unknown stored value kind {kind!r}")
     if not isinstance(data, dict):
         raise StoreError(f"stored {kind} value is not an object: {data!r:.80}")
-    names = {f.name for f in fields(cls)}
-    data = {k: v for k, v in data.items() if k in names}
+    types = _FIELD_TYPES[kind]
+    data = {k: v for k, v in data.items() if k in types}
+    for name, value in data.items():
+        accepted = types[name]
+        if accepted is not None and (
+            not isinstance(value, accepted)
+            or (isinstance(value, bool) and bool not in accepted)
+        ):
+            raise StoreError(
+                f"stored {kind} field {name!r} is not"
+                f" {accepted[-1].__name__}: {value!r:.80}"
+            )
     try:
         # Validation warnings are nested dataclasses: JSON flattens them
         # to dicts, so rebuild the records for a bit-equal round-trip.

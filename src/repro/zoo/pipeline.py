@@ -20,7 +20,19 @@ Reduction strategies, in the order the pipeline tries them:
     :func:`repro.core.reductions.lump` over the family's ``respect``
     labels — reduction discovered, not designed.
 ``"none"``
-    The model is already as small as its property needs.
+    The model is already as small as its property needs, or lumping
+    would cost more than the check it serves (below).
+
+Lumping pays where a check's cost grows faster than the chain:
+unbounded, steady-state and long-horizon properties.  An exact check of
+a formula whose path operators are all step-bounded costs about one
+sparse matrix-vector product per step (:func:`repro.pctl.step_horizon`),
+while lumping the chain already built costs about 55 of them on a
+``random-sparse`` chain and several hundred on a Viterbi one.  So when
+``build`` is given such a formula with fewer than
+:data:`LUMP_COST_STEPS` steps, the lumping fallback checks the full
+chain instead, exactly as ``reduce=False`` would, and says so in
+``BuiltScenario.extra["lumping"]``.
 
 With ``verify=True`` the full model is built alongside the quotient and
 :func:`repro.core.reductions.are_bisimilar` must return equivalence —
@@ -31,12 +43,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.reductions import are_bisimilar, lump
 from ..dtmc.builder import ExplorationResult
 from ..dtmc.chain import DTMC
 from ..engine import Engine
+from ..pctl import StateFormula, parse_formula, step_horizon
 from .registry import ZooError, get_model
 
 __all__ = [
@@ -45,6 +58,7 @@ __all__ = [
     "BuiltScenario",
     "ReductionSoundnessError",
     "REDUCTIONS",
+    "LUMP_COST_STEPS",
     "build",
 ]
 
@@ -58,6 +72,16 @@ REDUCTIONS = ("symmetry", "abstraction", "lumping", "none")
 #: fallback (refine + verify + quotient) now handles 10^5+-state chains
 #: in seconds, so half-million-state full models are worth building.
 FULL_BUILD_LIMIT = 500_000
+
+#: A step-bounded check with fewer steps than this runs on the full
+#: chain instead of its lumped quotient.  Measured crossover (lumped /
+#: full ms, ``P=? [ F<=t goal ]`` exact, best of 5, 2 vCPUs): on
+#: ``random-sparse`` n=64 and n=256, and on the memory-2 Viterbi chains,
+#: the full chain was faster at every ``t`` from 30 to 150; on n=1024
+#: lumping first won at ``t=80`` (33.5 vs 36.0) and on n=4096 with 64
+#: blocks also at ``t=80`` (63.6 vs 79.1); below 64 steps the full chain
+#: was never measurably slower.  64 is the lowest crossover measured.
+LUMP_COST_STEPS = 64
 
 
 class ReductionSoundnessError(ZooError):
@@ -145,7 +169,9 @@ class BuiltScenario:
     #: Free-form provenance; the lumping fallback records its partition
     #: refinement here (``refine_rounds``, ``refine_splitters``,
     #: ``refine_initial_blocks``, ``refine_seed_blocks``,
-    #: ``refine_final_blocks``).
+    #: ``refine_final_blocks``), or, when it skipped lumping for a short
+    #: step-bounded check, why (``lumping``, e.g.
+    #: ``"skipped: 30 steps < 64"``).
     extra: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -175,6 +201,8 @@ class BuiltScenario:
                 f" refine({self.extra['refine_rounds']} rounds,"
                 f" {self.extra['refine_splitters']} splitters)"
             )
+        elif "lumping" in self.extra:
+            refine_s = f" lumping {self.extra['lumping']}"
         return (
             f"{self.spec.describe()}: {full_s} -> {self.reduced_states}"
             f" states{factor_s} via {self.reduction}"
@@ -191,6 +219,7 @@ def build(
     verify: bool = False,
     keep_full: bool = False,
     engine: Optional[Engine] = None,
+    formula: Union[StateFormula, str, None] = None,
 ) -> BuiltScenario:
     """Build one scenario of ``family`` through the shared pipeline.
 
@@ -216,6 +245,15 @@ def build(
     engine:
         When given, the scenario's chain is registered with the engine
         so subsequent property checks share its caches.
+    formula:
+        The property the chain will be checked against exactly (parsed
+        tree or text), when known.  Only the lumping fallback reads it:
+        a formula whose path operators are all step-bounded with fewer
+        than :data:`LUMP_COST_STEPS` steps in total is checked on the
+        full chain, which costs less than lumping it
+        (``reduction="none"``, reason in ``extra["lumping"]``).
+        ``verify=True`` always lumps, since it exists to check the
+        quotient; ``None`` (the default) always lumps.
     """
     fam = get_model(family)
     merged = fam.merged_params(params)
@@ -256,23 +294,29 @@ def build(
             reduced_result = fb.build_reduced()
             reduce_seconds = time.perf_counter() - t0
         elif reduction != "none":
-            # Fallback: coarsest lumping of the full chain.
-            t0 = time.perf_counter()
-            quotient = lump(full_result.chain, respect=list(fb.respect))
-            reduce_seconds = time.perf_counter() - t0
-            reduction = "lumping"
-            chain = quotient.chain
-            if quotient.refinement is not None:
-                stats = quotient.refinement
-                extra.update(
-                    refine_rounds=stats.rounds,
-                    refine_splitters=stats.splitters,
-                    refine_initial_blocks=stats.initial_blocks,
-                    refine_seed_blocks=stats.seed_blocks,
-                    refine_final_blocks=stats.final_blocks,
-                )
-        else:
-            reduce_seconds = 0.0
+            if isinstance(formula, str):
+                formula = parse_formula(formula)
+            steps = None if formula is None or verify else step_horizon(formula)
+            if steps is not None and steps < LUMP_COST_STEPS:
+                # Checking the full chain costs less than lumping it.
+                reduction = "none"
+                extra["lumping"] = f"skipped: {steps} steps < {LUMP_COST_STEPS}"
+            else:
+                # Fallback: coarsest lumping of the full chain.
+                t0 = time.perf_counter()
+                quotient = lump(full_result.chain, respect=list(fb.respect))
+                reduce_seconds = time.perf_counter() - t0
+                reduction = "lumping"
+                chain = quotient.chain
+                if quotient.refinement is not None:
+                    stats = quotient.refinement
+                    extra.update(
+                        refine_rounds=stats.rounds,
+                        refine_splitters=stats.splitters,
+                        refine_initial_blocks=stats.initial_blocks,
+                        refine_seed_blocks=stats.seed_blocks,
+                        refine_final_blocks=stats.final_blocks,
+                    )
     build_seconds = time.perf_counter() - build_start - reduce_seconds
 
     if reduce and reduced_result is not None:

@@ -6,7 +6,8 @@ name a family, name the axes, and the grid fans through
 ``"exact"`` (the cached solver engine), ``"apmc"`` (Hoeffding
 estimates) or ``"sprt"`` (threshold decisions).  Every point builds
 through the shared reduction pipeline, so large grids automatically
-check quotients instead of full models.
+check quotients instead of full models — except where an exact check
+is too short to pay for lumping (see :func:`repro.zoo.build`).
 
 Pass ``store=`` (a :class:`repro.store.ResultStore`) and the sweep is
 read-through cached: points are keyed by the *fully merged*
@@ -35,10 +36,11 @@ from ..engine import SmcConfig, SweepResult
 from ..engine import grid as engine_grid
 from ..engine import sweep_check
 from ..engine.sweep import validate_executor
+from ..pctl import StateFormula, parse_formula
 from .pipeline import ScenarioSpec, build
 from .registry import ZooError, get_model, list_models
 
-__all__ = ["sweep", "survey"]
+__all__ = ["sweep", "survey", "point_builder"]
 
 
 def _build_point(
@@ -47,11 +49,40 @@ def _build_point(
     family: str,
     base_params: Optional[Mapping[str, Any]],
     reduce: bool,
+    formula: Optional[StateFormula] = None,
 ):
     """Build one grid point's chain (module-level for picklability)."""
     params = dict(base_params or {})
     params.update(point)
-    return build(family, params, reduce=reduce).chain
+    return build(family, params, reduce=reduce, formula=formula).chain
+
+
+def point_builder(
+    family: str,
+    base_params: Optional[Mapping[str, Any]],
+    *,
+    reduce: bool,
+    backend: str,
+    tree: StateFormula,
+) -> functools.partial:
+    """The ``build(point)`` of one grid: a picklable partial over
+    :func:`_build_point`, shared by :func:`sweep` and the service's
+    ``/guarantee`` misses so both ship the same job.
+
+    Only an exact check of reduced chains hands the pipeline the parsed
+    formula ``tree``, so a short step-bounded check skips lumping.
+    Statistical points keep sampling the quotient (their per-seed
+    estimates depend on the chain they walk), and a ``reduce=False``
+    job is the same as one built without a formula.
+    """
+    keywords = dict(
+        family=family,
+        base_params=dict(base_params) if base_params else None,
+        reduce=reduce,
+    )
+    if reduce and backend == "exact":
+        keywords["formula"] = tree
+    return functools.partial(_build_point, **keywords)
 
 
 def _point_store_key(
@@ -115,7 +146,10 @@ def sweep(
     base_params:
         Overrides applied to *every* point (the grid's fixed plane).
     reduce:
-        Build reduced chains (default) or full ones.
+        Build reduced chains (default) or full ones.  With the exact
+        backend, a family that lumps its full chain skips lumping for a
+        short step-bounded ``formula`` and checks the full chain, which
+        costs less (:func:`repro.zoo.build`); the value is the same.
     backend / theta / smc / solver:
         Passed through to :func:`repro.engine.sweep_check` — see its
         docs for the exact/apmc/sprt semantics and per-point seeding.
@@ -150,11 +184,9 @@ def sweep(
         points = engine_grid(**{k: list(v) for k, v in axes.items()})
     if formula is None:
         formula = fam.default_property
-    builder = functools.partial(
-        _build_point,
-        family=family,
-        base_params=dict(base_params) if base_params else None,
-        reduce=reduce,
+    tree = parse_formula(formula)
+    builder = point_builder(
+        family, base_params, reduce=reduce, backend=backend, tree=tree
     )
     store_key = None
     if store is not None:
@@ -167,7 +199,7 @@ def sweep(
     return sweep_check(
         builder,
         list(points),
-        formula,
+        tree,
         backend=backend,
         theta=theta,
         smc=smc,

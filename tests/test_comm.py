@@ -143,6 +143,38 @@ class TestQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer(4, -1, 1).cell_probabilities(0.0, 0.0)
 
+    def test_cell_probabilities_bit_identical_to_norm_cdf(self):
+        from scipy import stats
+
+        q = UniformQuantizer(8, -3, 3)
+        rng = np.random.default_rng(11)
+        for mean, sigma in zip(rng.normal(0, 3, 500), rng.uniform(1e-3, 5, 500)):
+            cdf = stats.norm.cdf(q.thresholds, loc=mean, scale=sigma)
+            probabilities = np.append(cdf, 1.0) - np.insert(cdf, 0, 0.0)
+            expected = probabilities / probabilities.sum()
+            got = q.cell_probabilities(mean, sigma)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_import_paths_skip_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, repro, repro.zoo.cli;"
+            " print('scipy.stats' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     @given(
         st.integers(min_value=2, max_value=16),
         st.floats(min_value=-3, max_value=3),

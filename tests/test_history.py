@@ -469,12 +469,13 @@ class TestHttpSurfaces:
                     f"{base}/dashboard", timeout=10
                 ) as resp:
                     assert resp.status == 200
-                    assert resp.headers["Content-Type"].startswith("text/html")
+                    assert resp.headers["Content-Type"] == "text/html; charset=utf-8"
                     assert b"mimo-1xN" in resp.read()
                 url = f"{base}/history?family=mimo-1xN&num_rx=2&snr_db=4.0"
                 with urllib.request.urlopen(url, timeout=10) as resp:
-                    assert resp.headers["Content-Type"].startswith(
-                        "application/json"
+                    assert (
+                        resp.headers["Content-Type"]
+                        == "application/json; charset=utf-8"
                     )
                     assert json.load(resp)["count"] == 2
 

@@ -24,6 +24,7 @@ from repro.pctl import (
     Until,
     VarComparison,
     parse_formula,
+    step_horizon,
 )
 from repro.pctl.parser import MAX_NESTING
 
@@ -175,3 +176,40 @@ class TestNestingCap:
         assert isinstance(parse_formula(text), ProbQuery)
         chain = parse_formula(" | ".join(["done"] * (MAX_NESTING // 2)))
         assert isinstance(chain, Or)
+
+
+class TestStepHorizon:
+    @pytest.mark.parametrize(
+        "text, steps",
+        [
+            ("P=? [ F<=30 goal ]", 30),
+            ("P=? [ G<=300 !flag ]", 300),
+            ("P=? [ F[3,7] goal ]", 7),
+            ("P=? [ a U<=5 b ]", 5),
+            ("P=? [ a W<=5 b ]", 5),
+            ("P=? [ X goal ]", 1),
+            ("R=? [ I=40 ]", 40),
+            ('R{"level"}=? [ C<=12 ]', 12),
+            ("P=? [ F<=10 (P>0.5 [ F<=20 goal ]) ]", 30),
+            ("P=? [ (P>0.1 [ X a ]) U<=4 b ]", 5),
+            ("P>=0.5 [ F<=2 a ] & P<=0.5 [ G<=3 b ]", 5),
+            ("goal", 0),
+            ("true", 0),
+            ("errcnt>1", 0),
+            ("P=? [ F goal ]", None),
+            ("P=? [ G goal ]", None),
+            ("P=? [ a U b ]", None),
+            ("P=? [ a W b ]", None),
+            ("S=? [ goal ]", None),
+            ("R=? [ F goal ]", None),
+            ("R=? [ S ]", None),
+            ("P=? [ F<=10 (P>0.5 [ true U goal ]) ]", None),
+            ("P=? [ X (S>0.5 [ goal ]) ]", None),
+            ("!(P>0.5 [ F goal ])", None),
+        ],
+    )
+    def test_counts_bounded_steps(self, text, steps):
+        assert step_horizon(parse_formula(text)) == steps
+
+    def test_lower_bound_without_upper_is_unbounded(self):
+        assert step_horizon(ProbQuery(Eventually(Label("goal"), None, 2))) is None

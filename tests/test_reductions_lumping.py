@@ -191,3 +191,51 @@ def test_lumping_is_idempotent(chain):
     once = lump(chain)
     twice = lump(once.chain)
     assert twice.num_blocks == once.num_blocks
+
+
+class TestIdentityShortcut:
+    """A chain that is its own coarsest lumping comes back unquotiented."""
+
+    @pytest.mark.parametrize("n", [2, 64, 20_000])
+    @pytest.mark.parametrize("respect", [["goal"], ["goal", "level"]])
+    def test_bit_identical_to_the_identity_quotient(self, n, respect):
+        from repro import zoo
+        from repro.core.reductions import coarsest_lumping_with_stats
+
+        chain = zoo.build("birth-death", {"n": n}, reduce=False).chain
+        result = lump(chain, respect=respect)
+        reference = quotient_by_partition(chain, np.arange(n), respect=respect)
+        same, ref = result.chain, reference.chain
+        assert same.transition_matrix is chain.transition_matrix
+        for attribute in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(same.transition_matrix, attribute),
+                getattr(ref.transition_matrix, attribute),
+            )
+        assert same.transition_matrix.data.tobytes() == (
+            ref.transition_matrix.data.tobytes()
+        )
+        assert same.initial_distribution.tobytes() == (
+            ref.initial_distribution.tobytes()
+        )
+        assert sorted(same.labels) == sorted(ref.labels) == ["goal"]
+        assert np.array_equal(same.labels["goal"], ref.labels["goal"])
+        assert sorted(same.rewards) == sorted(ref.rewards)
+        for name in same.rewards:
+            assert same.rewards[name].tobytes() == ref.rewards[name].tobytes()
+        # Labels and rewards outside ``respect`` are dropped.
+        assert "empty" not in same.labels
+        assert ("level" in same.rewards) == ("level" in respect)
+        assert same.states == ref.states == list(range(n))
+        assert np.array_equal(result.block_of, reference.block_of)
+        assert result.blocks == reference.blocks
+        _, stats = coarsest_lumping_with_stats(chain, respect=respect)
+        assert result.refinement == stats
+        assert stats.final_blocks == n
+
+    def test_respect_none_keeps_every_label_and_reward(self):
+        chain = two_state_chain()
+        result = lump(chain)
+        assert result.num_blocks == chain.num_states
+        assert sorted(result.chain.labels) == sorted(chain.labels)
+        assert sorted(result.chain.rewards) == sorted(chain.rewards)

@@ -39,6 +39,7 @@ from repro.store import (
     StoreError,
     check_fingerprint,
     decode_value,
+    encode_value,
     make_key,
 )
 
@@ -176,6 +177,44 @@ class TestValueRoundTrip:
     def test_malformed_payload_raises_store_error(self, payload, problem):
         with pytest.raises(StoreError, match=problem):
             decode_value(payload)
+
+    @pytest.mark.parametrize(
+        "kind, value, field, bad",
+        [
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "estimate", "x"),
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "estimate", True),
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "estimate", None),
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "samples", 1.5),
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "samples", False),
+            ("apmc", ApmcResult(0.5, 10, 0.1, 0.1), "delta", [0.1]),
+            ("sprt", SprtResult(True, 10, 0.5, 0.1, 0.05, 0.05), "accept", 1),
+            ("sprt", SprtResult(True, 10, 0.5, 0.1, 0.05, 0.05), "accept", "yes"),
+            ("sprt", SprtResult(True, 10, 0.5, 0.1, 0.05, 0.05), "theta", "0.5"),
+            ("guarantee", Guarantee("P", FORMULA, 0.5, 2, 2, 0.0), "value", {}),
+            ("guarantee", Guarantee("P", FORMULA, 0.5, 2, 2, 0.0), "metric", 5),
+            ("guarantee", Guarantee("P", FORMULA, 0.5, 2, 2, 0.0), "model_states", 2.0),
+        ],
+    )
+    def test_wrong_field_type_raises_store_error(self, kind, value, field, bad):
+        data = asdict(value)
+        data[field] = bad
+        with pytest.raises(StoreError, match=f"{kind} field {field!r} is not"):
+            decode_value(json.dumps({"kind": kind, "data": data}))
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ApmcResult(estimate=1, samples=10, epsilon=0.1, delta=0.1),
+            ApmcResult(estimate=math.nan, samples=10, epsilon=0.1, delta=0.1),
+            SprtResult(False, 10, 1, 0.1, 0.05, 0.05),
+            Guarantee("P", FORMULA, math.inf, 2, 2, 0.0),
+        ],
+        ids=["int-for-float", "nan", "int-theta", "inf"],
+    )
+    def test_numeric_fields_accept_int_and_non_finite(self, value):
+        decoded = decode_value(encode_value(value))
+        assert type(decoded) is type(value)
+        assert repr(decoded) == repr(value)
 
 
 # ----------------------------------------------------------------------

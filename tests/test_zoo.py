@@ -12,6 +12,7 @@ import pytest
 
 from repro import check, zoo
 from repro.engine import EXECUTORS, Engine, SmcConfig
+from repro.pctl import parse_formula
 from repro.store import ResultStore
 from repro.zoo import (
     BuiltScenario,
@@ -230,6 +231,103 @@ class TestPipeline:
         )
         assert scenario.reduction == "lumping"
         assert scenario.reduced_states <= scenario.full_states
+
+
+VITERBI_M2 = {"taps": (1.0, 0.5, 0.5), "memory": 2, "traceback_length": 3}
+
+
+class TestLumpDecision:
+    """The lumping fallback lumps only where lumping costs less than
+    the exact check it serves."""
+
+    def test_short_bounded_check_runs_on_the_full_chain(self):
+        scenario = zoo.build(
+            "random-sparse", {"n": 64}, formula="P=? [ F<=30 goal ]"
+        )
+        assert scenario.reduction == "none"
+        assert scenario.extra == {"lumping": "skipped: 30 steps < 64"}
+        assert scenario.chain is scenario.full_chain
+        assert scenario.reduced_states == scenario.full_states == 64
+        assert scenario.reduce_seconds == 0.0
+        assert "lumping skipped: 30 steps < 64" in scenario.describe()
+
+    def test_parsed_tree_decides_like_its_text(self):
+        tree = parse_formula("P=? [ (P>0.5 [ X goal ]) U<=40 goal ]")
+        scenario = zoo.build("random-sparse", {"n": 64}, formula=tree)
+        assert scenario.extra["lumping"] == "skipped: 41 steps < 64"
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "P=? [ F<=64 goal ]",
+            "P=? [ F goal ]",
+            "S=? [ goal ]",
+            "R=? [ F goal ]",
+            "P=? [ F<=10 (P>0.5 [ true U goal ]) ]",
+            None,
+        ],
+    )
+    def test_long_or_unbounded_checks_lump(self, formula):
+        scenario = zoo.build("random-sparse", {"n": 64}, formula=formula)
+        assert scenario.reduction == "lumping"
+        assert scenario.reduced_states == 8
+        assert "lumping" not in scenario.extra
+        assert scenario.extra["refine_final_blocks"] == 8
+
+    def test_verify_always_lumps(self):
+        scenario = zoo.build(
+            "random-sparse", {"n": 64}, verify=True, formula="P=? [ F<=30 goal ]"
+        )
+        assert scenario.reduction == "lumping"
+        assert scenario.verified is True
+        assert scenario.reduced_states == 8
+
+    def test_designed_reductions_ignore_the_formula(self):
+        scenario = zoo.build("mimo-1xN", formula="P=? [ F<=10 flag ]")
+        assert scenario.reduction == "symmetry"
+        assert "lumping" not in scenario.extra
+
+    @pytest.mark.parametrize(
+        "backend, reduce, lumped",
+        [
+            ("exact", True, False),
+            ("apmc", True, True),
+            ("sprt", True, True),
+            ("exact", False, False),
+        ],
+    )
+    def test_point_builder_hands_the_formula_only_to_exact_reduced_points(
+        self, backend, reduce, lumped
+    ):
+        from repro.zoo.sweep import point_builder
+
+        tree = parse_formula("P=? [ F<=30 goal ]")
+        builder = point_builder(
+            "random-sparse", None, reduce=reduce, backend=backend, tree=tree
+        )
+        assert ("formula" in builder.keywords) == (reduce and backend == "exact")
+        assert builder({"n": 64}).num_states == (8 if lumped else 64)
+
+    @pytest.mark.parametrize(
+        "family, params, label",
+        [
+            ("random-sparse", {"n": n, "seed": seed}, "goal")
+            for n in (64, 256)
+            for seed in (0, 1, 2)
+        ] + [("viterbi-memory-m", VITERBI_M2, "flag")],
+    )
+    @pytest.mark.parametrize(
+        "template", ["P=? [ F<=64 {} ]", "P=? [ F {} ]", "S=? [ {} ]"]
+    )
+    def test_lumped_equals_full(self, family, params, label, template):
+        formula = template.format(label)
+        lumped = zoo.build(family, params, formula=formula)
+        full = zoo.build(family, params, reduce=False)
+        assert lumped.reduction == "lumping"
+        assert lumped.reduced_states < full.reduced_states
+        assert check(lumped.chain, formula).value == pytest.approx(
+            check(full.chain, formula).value, rel=1e-9, abs=1e-9
+        )
 
 
 # ----------------------------------------------------------------------
