@@ -12,9 +12,11 @@ One honest end-to-end pass with *real worker processes*:
    reassigned);
 4. assert ``GET /healthz`` reports the fleet as degraded and names the
    dead worker, while ``GET /stats`` still serves;
-5. exercise the serving path: a ``GET /guarantee`` miss returns 202
+5. exercise the serving path: a point the remote sweep banked is a
+   warm ``GET /guarantee`` hit; a ``GET /guarantee`` miss returns 202
    with a pollable job, completes on the surviving worker, is banked
-   to the store, and the repeat query is a warm 200 hit;
+   to the store, and both the repeat query and a one-point
+   ``zoo.sweep`` of it are warm hits;
 6. exercise the history surfaces (ISSUE 9): the remote sweep banked
    its 30 points, so ``GET /dashboard`` returns 200 HTML naming the
    swept family and ``GET /history`` returns the banked trajectory;
@@ -367,6 +369,14 @@ def main() -> int:
     assert banked_before >= len(GRID["snr_db"]), (
         f"remote sweep banked only {banked_before} rows"
     )
+    # Rows are shared: the sweep's banked point is a /guarantee hit.
+    status, shared = _get(
+        f"http://{front.address}/guarantee?family=mimo-1xN&snr_db=1.0"
+        "&backend=apmc&epsilon=0.1&delta=0.1&seed=3"
+    )
+    assert status == 200 and shared["cached"], shared
+    assert shared["value"]["estimate"] == remote[0].value.estimate, shared
+    print("a remote sweep's banked point is a warm /guarantee hit")
     query = "family=birth-death&n=12"
     status, body = _get(f"http://{front.address}/guarantee?{query}")
     assert status == 202 and not body["cached"], body
@@ -385,6 +395,10 @@ def main() -> int:
     assert status == 200 and warm["cached"], warm
     assert warm["value"] == job["results"][0]["value"], (warm, job)
     print("guarantee miss -> job -> banked -> warm hit OK")
+    # ... and the row a /guarantee miss banked is a zoo.sweep hit.
+    (reswept,) = zoo_sweep("birth-death", points=[{"n": 12}], store=store)
+    assert reswept.cached and reswept.value == warm["value"], reswept
+    print("a /guarantee miss's banked row is a cached zoo.sweep point")
 
     # History surfaces: the 30 banked sweep points are visible as a
     # trajectory (one salt so far) and on the dashboard.

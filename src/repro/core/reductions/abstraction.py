@@ -29,6 +29,7 @@ per-block reductions — no per-state Python anywhere on the hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -61,7 +62,8 @@ class QuotientResult:
     block_of:
         Array mapping each concrete state index to its block index.
     blocks:
-        Concrete state indices grouped per block.
+        Concrete state indices grouped per block, ascending; derived
+        from ``block_of`` on first read.
     reduction_factor:
         ``concrete states / abstract states`` — the figure reported in
         the paper's Table II.
@@ -73,16 +75,21 @@ class QuotientResult:
 
     chain: DTMC
     block_of: np.ndarray
-    blocks: List[List[int]]
     refinement: Optional["RefinementStats"] = None
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return int(self.block_of.max()) + 1 if self.block_of.size else 0
 
     @property
     def reduction_factor(self) -> float:
-        return self.block_of.shape[0] / max(1, len(self.blocks))
+        return self.block_of.shape[0] / max(1, self.num_blocks)
+
+    @cached_property
+    def blocks(self) -> List[List[int]]:
+        sizes = np.bincount(self.block_of, minlength=self.num_blocks)
+        order = np.argsort(self.block_of, kind="stable")
+        return [order[end - size:end].tolist() for size, end in zip(sizes, np.cumsum(sizes))]
 
 
 def _block_indicator(column_of: np.ndarray, num_columns: int) -> sparse.csr_matrix:
@@ -207,9 +214,6 @@ def quotient_by_partition(
     block_sizes = np.bincount(block_of, minlength=num_blocks).astype(np.int64)
     order = np.argsort(block_of, kind="stable")
     starts = np.concatenate([[0], np.cumsum(block_sizes)]).astype(np.int64)
-    blocks: List[List[int]] = [
-        order[starts[b]:starts[b + 1]].tolist() for b in range(num_blocks)
-    ]
     # Stable sort keeps members ascending, so the representative of each
     # block is its lowest-numbered member.
     representatives = order[starts[:-1]] if num_blocks else np.zeros(0, dtype=np.int64)
@@ -277,7 +281,7 @@ def quotient_by_partition(
     if abstract_states is None:
         abstract_states = list(range(num_blocks))
     quotient = DTMC(matrix, init, labels=labels, rewards=rewards, states=abstract_states)
-    return QuotientResult(chain=quotient, block_of=block_of, blocks=blocks)
+    return QuotientResult(chain=quotient, block_of=block_of)
 
 
 def quotient_by_function(

@@ -335,7 +335,7 @@ def lump(
             rewards=kept(chain.rewards),
             states=list(range(n)),
         )
-        return QuotientResult(same, block_of, block_of[:, None].tolist(), refinement=stats)
+        return QuotientResult(same, block_of, refinement=stats)
     atol = 10.0 ** (-decimals) * 10
     result = quotient_by_partition(chain, block_of, atol=atol, respect=respect)
     result.refinement = stats

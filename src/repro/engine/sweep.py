@@ -689,23 +689,34 @@ def sweep(
             deadline=deadline,
         )
     if on_error == "raise":
-        for result in results:
-            if not result.ok:
-                raise RuntimeError(
-                    f"sweep point {result.point!r} failed: {result.error}"
-                )
+        _raise_first_failure(results)
     return results
 
 
-def validate_backend(backend: str, theta: Optional[float]) -> None:
-    """Reject an unknown checking backend, or SPRT without a threshold,
-    naming the choices."""
+def _raise_first_failure(results: Sequence[SweepResult]) -> None:
+    """``on_error="raise"``: raise for the first failed point."""
+    for result in results:
+        if not result.ok:
+            raise RuntimeError(f"sweep point {result.point!r} failed: {result.error}")
+
+
+def validate_backend(
+    backend: str, theta: Optional[float], error: type = ValueError
+) -> None:
+    """Reject an unknown checking backend (naming the choices), a
+    threshold outside (0, 1), or SPRT without one.
+
+    ``error`` is the ``ValueError`` subclass to raise, as for
+    :func:`validate_executor`.
+    """
     if backend not in CHECK_BACKENDS:
-        raise ValueError(
+        raise error(
             f"unknown backend {backend!r}; choose from {', '.join(CHECK_BACKENDS)}"
         )
+    if theta is not None and not 0.0 < theta < 1.0:
+        raise error(f"theta must be in (0, 1), got {theta}")
     if backend == "sprt" and theta is None:
-        raise ValueError("backend='sprt' needs a threshold theta")
+        raise error("backend='sprt' needs a threshold theta")
 
 
 def check_value(
@@ -798,17 +809,17 @@ def check_job(
     smc: SmcConfig,
     solver,
 ) -> functools.partial:
-    """The sweep function of one check over a grid of ``count`` points.
+    """The sweep function of one check over a grid of ``count`` points
+    (:attr:`CheckPlan.job`, so a sweep and a ``/guarantee`` miss ship
+    the same job).
 
-    The one builder of the point job, shared by :func:`sweep_check`
-    and the service's ``/guarantee`` misses, so both ship the same
-    job.  It is a partial over the module-level :func:`_check_point`
-    (looked up at call time, so a patched one takes effect) and
-    carries the parsed formula ``tree``, so no point re-parses it.
-    Statistical backends get one seed stream per grid index, spawned
-    from ``smc.seed``; an exact job ships ``[None] * count``, since an
-    exact check reads no seed (a worker running an older
-    ``_check_point`` still indexes the list).
+    A partial over the module-level :func:`_check_point` (looked up at
+    call time, so a patched one takes effect) carrying the parsed
+    formula ``tree``, so no point re-parses it.  Statistical backends
+    get one seed stream per grid index, spawned from ``smc.seed``; an
+    exact job ships ``[None] * count``, since an exact check reads no
+    seed (a worker running an older ``_check_point`` still indexes the
+    list).
     """
     if backend == "exact":
         seeds = [None] * count
@@ -837,6 +848,147 @@ def _canonical_point(point: Any) -> str:
     are made of.
     """
     return json.dumps(point, sort_keys=True, default=repr)
+
+
+class CheckPlan:
+    """The half of :func:`sweep_check` before the fan-out.
+
+    Constructing one validates the backend, parses ``formula`` once,
+    dedupes the points, keys each distinct point in :attr:`queries`
+    (``{grid index: (scenario, formula, backend, config)}``, the
+    scenario from ``store_key``) and, with a ``store``, reads them all
+    with one ``get_many``: hits land in :attr:`cached` and the rest in
+    :attr:`misses`.  :attr:`job` runs the misses and is built on first
+    use, so a fully warm plan builds none; :meth:`finish` is the other
+    half.
+    """
+
+    def __init__(
+        self,
+        build: Callable[[Any], Any],
+        points: Sequence[Any],
+        formula,
+        *,
+        backend: str = "exact",
+        theta: Optional[float] = None,
+        smc: Optional[SmcConfig] = None,
+        solver=None,
+        store=None,
+        store_key: Optional[Callable[[Any], Any]] = None,
+        store_extra: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        # deferred: repro.pctl and repro.store import the engine
+        from ..pctl import StateFormula, parse_formula
+        from ..store import check_fingerprint
+
+        validate_backend(backend, theta)
+        self.tree = formula if isinstance(formula, StateFormula) else parse_formula(formula)
+        self.formula = str(self.tree)
+        self.points = list(points)
+        self.build, self.backend, self.theta, self.solver = build, backend, theta, solver
+        self.smc = SmcConfig.coerce(smc)
+        self.store, self.store_extra = store, store_extra
+
+        # Deduplicate: each distinct canonical point is solved exactly
+        # once, at its first grid index (which also pins its seed stream).
+        first: Dict[str, int] = {}
+        self._first_of = [
+            first.setdefault(_canonical_point(point), index)
+            for index, point in enumerate(self.points)
+        ]
+        fingerprint = check_fingerprint(
+            backend, smc=self.smc, solver=solver, theta=theta
+        )
+        key_of = store_key if store_key is not None else lambda point: point
+        self.queries: Dict[int, Tuple[Any, str, str, Any]] = {
+            index: (key_of(self.points[index]), self.formula, backend, fingerprint)
+            for index in first.values()
+        }
+        self.cached: Dict[int, SweepResult] = {}
+        if store is not None:
+            found = store.get_many(list(self.queries.values()))
+            for index, row in zip(self.queries, found):
+                if row is not None:
+                    self.cached[index] = SweepResult(
+                        point=self.points[index],
+                        value=row.value,
+                        seconds=row.seconds,
+                        cached=True,
+                    )
+        self.misses = [index for index in self.queries if index not in self.cached]
+
+    @functools.cached_property
+    def job(self) -> functools.partial:
+        """The sweep function (:func:`check_job`) of the ``(grid index,
+        point)`` entries of :attr:`misses`."""
+        return check_job(
+            self.build, self.tree, len(self.points),
+            backend=self.backend, theta=self.theta, smc=self.smc,
+            solver=self.solver,
+        )
+
+    def bank(self, index: int, result: SweepResult) -> None:
+        """Write one computed point to the store under its query."""
+        # Failures are never banked: a quarantined or timed-out point
+        # must be recomputed on the next run, not served as a warm hit.
+        if self.store is not None and result.ok:
+            scenario, formula, backend, config = self.queries[index]
+            self.store.put(
+                scenario,
+                formula,
+                result.value,
+                backend=backend,
+                config=config,
+                seconds=result.seconds,
+                extra=self.store_extra,
+            )
+
+    def finish(self, computed: Sequence[SweepResult]) -> List[SweepResult]:
+        """The half after the fan-out, given the results of the
+        :attr:`misses` entries in order: bank the successes, unwrap the
+        entries, validate every value, and return one result per point
+        (duplicates share their first occurrence's)."""
+        by_index = dict(self.cached)
+        for index, result in zip(self.misses, computed):
+            self.bank(index, result)
+            result.point = result.point[1]  # unwrap the (index, point) plumbing
+            by_index[index] = result
+
+        kind = formula_kind(self.tree)
+        for result in by_index.values():
+            if result.ok:
+                result.warnings = validate_guarantee(result.value, kind=kind)
+
+        results = []
+        for index, (point, first) in enumerate(zip(self.points, self._first_of)):
+            source = by_index[first]
+            if source.point is point or first == index:
+                results.append(source)
+            else:  # duplicate point: share the solve, keep the caller's object
+                results.append(dataclass_replace(source, point=point))
+        return results
+
+    def run(self, *, on_error: str = "capture", **options) -> List[SweepResult]:
+        """:func:`sweep` the misses with ``options`` (``executor``,
+        ``retry``, ...), then :meth:`finish`; ``on_error="raise"``
+        raises for the first failed point."""
+        computed: List[SweepResult] = []
+        if self.misses:
+            entries = [(index, self.points[index]) for index in self.misses]
+            try:
+                computed = sweep(self.job, entries, on_error="capture", **options)
+            except SweepInterrupted as interrupt:
+                # Ctrl-C: bank every successful partial before
+                # propagating, so a --store sweep resumes from exactly
+                # where it was cut off.
+                for result in interrupt.partial:
+                    if isinstance(result.point, tuple):
+                        self.bank(result.point[0], result)
+                raise
+        results = self.finish(computed)
+        if on_error == "raise":
+            _raise_first_failure(results)
+        return results
 
 
 def sweep_check(
@@ -876,7 +1028,7 @@ def sweep_check(
         the samples drawn.
     ``"sprt"``
         Batched :func:`repro.smc.smc_decide` of ``P >= theta``
-        (``theta`` is required).  ``value`` is an
+        (``theta`` is required, in (0, 1)).  ``value`` is an
         :class:`~repro.smc.SprtResult`.
 
     Statistical points draw from independent, deterministic seed
@@ -922,113 +1074,19 @@ def sweep_check(
     and violations (NaN/Inf, out-of-range probabilities) are attached
     to the result's ``warnings`` — downgraded to structured records,
     never silently accepted and never raised.
+
+    It is a :class:`CheckPlan` and its :meth:`~CheckPlan.run`.
     """
-    # deferred: repro.pctl imports the engine
-    from ..pctl import StateFormula, parse_formula
-
-    validate_backend(backend, theta)
     validate_executor(executor)
-    tree = formula if isinstance(formula, StateFormula) else parse_formula(formula)
-    formula = str(tree)
-    points = list(points)
-    config = SmcConfig.coerce(smc)
-
-    # Deduplicate: each distinct canonical point is solved exactly once,
-    # at its first grid index (which also pins its spawned seed stream).
-    first_index: Dict[str, int] = {}
-    canon: List[str] = []
-    for index, point in enumerate(points):
-        key = _canonical_point(point)
-        canon.append(key)
-        first_index.setdefault(key, index)
-    unique = sorted(set(first_index.values()))
-
-    # Read-through: look distinct points up in the store before solving.
-    by_index: Dict[int, SweepResult] = {}
-    fingerprint = None
-    scenario_ids: Dict[int, Any] = {}
-    if store is not None:
-        from ..store import check_fingerprint  # deferred: avoid cycle
-
-        fingerprint = check_fingerprint(
-            backend, smc=config, solver=solver, theta=theta
-        )
-        key_of = store_key if store_key is not None else lambda point: point
-        scenario_ids = {index: key_of(points[index]) for index in unique}
-        found = store.get_many(
-            [(scenario_ids[i], formula, backend, fingerprint) for i in unique]
-        )
-        for index, row in zip(unique, found):
-            if row is not None:
-                by_index[index] = SweepResult(
-                    point=points[index],
-                    value=row.value,
-                    seconds=row.seconds,
-                    cached=True,
-                )
-
-    def bank(index: int, result: SweepResult) -> None:
-        # Failures are never banked: a quarantined or timed-out point
-        # must be recomputed on the next run, not served as a warm hit.
-        if store is not None and result.ok:
-            store.put(
-                scenario_ids[index],
-                formula,
-                result.value,
-                backend=backend,
-                config=fingerprint,
-                seconds=result.seconds,
-                extra=store_extra,
-            )
-
-    misses = [index for index in unique if index not in by_index]
-    run = check_job(
-        build, tree, len(points),
-        backend=backend, theta=theta, smc=config, solver=solver,
+    plan = CheckPlan(
+        build, points, formula,
+        backend=backend, theta=theta, smc=smc, solver=solver,
+        store=store, store_key=store_key, store_extra=store_extra,
     )
-    try:
-        computed = sweep(
-            run,
-            [(index, points[index]) for index in misses],
-            executor=executor,
-            max_workers=max_workers,
-            on_error="capture",
-            shard_size=shard_size,
-            retry=retry,
-            deadline=deadline,
-            remote=remote,
-        )
-    except SweepInterrupted as interrupt:
-        # Ctrl-C: bank every successful partial before propagating, so
-        # a --store sweep resumes from exactly where it was cut off.
-        for result in interrupt.partial:
-            if isinstance(result.point, tuple):
-                bank(result.point[0], result)
-        raise
-    for index, result in zip(misses, computed):
-        bank(index, result)
-        result.point = result.point[1]  # unwrap the (index, point) plumbing
-        by_index[index] = result
-
-    kind = formula_kind(tree)
-    for result in by_index.values():
-        if result.ok:
-            result.warnings = validate_guarantee(result.value, kind=kind)
-
-    results = []
-    for index, point in enumerate(points):
-        source = by_index[first_index[canon[index]]]
-        if source.point is point or first_index[canon[index]] == index:
-            results.append(source)
-        else:  # duplicate point: share the solve, keep the caller's object
-            results.append(dataclass_replace(source, point=point))
-    if on_error == "raise":
-        for result in results:
-            if not result.ok:
-                raise RuntimeError(
-                    f"sweep point {result.point!r} failed: {result.error}"
-                )
-    return results
+    return plan.run(
+        executor=executor, max_workers=max_workers, on_error=on_error,
+        shard_size=shard_size, retry=retry, deadline=deadline, remote=remote,
+    )
 
 
 def sweep_values(

@@ -220,7 +220,8 @@ class Next(PathFormula):
 
 
 def _window_suffix(lower: int, bound: Optional[int]) -> str:
-    """Render a step window: ``""``, ``<=b``, or ``[a,b]``."""
+    """Render a step window: ``""``, ``<=b``, ``[a,b]``, or ``[a,inf]``
+    (no upper bound), each of which parses back to the same window."""
     if lower == 0:
         return "" if bound is None else f"<={bound}"
     upper = "inf" if bound is None else str(bound)

@@ -304,16 +304,17 @@ class _Parser:
         )
 
     def step_window(self) -> Tuple[int, Optional[int]]:
-        """Parse ``<=b``, ``[a,b]``, or nothing -> ``(lower, upper)``."""
+        """Parse ``<=b``, ``[a,b]``, ``[a,inf]`` or nothing ->
+        ``(lower, upper)``; ``upper`` is ``None`` for no bound."""
         if self.accept("<="):
             return 0, self._int_token()
         if self.peek()[1] == "[" and self.tokens[self.position + 1][0] == "number":
             self.advance()  # '['
             lower = self._int_token()
             self.expect(",")
-            upper = self._int_token()
+            upper = None if self.accept("inf") else self._int_token()
             self.expect("]")
-            if upper < lower:
+            if upper is not None and upper < lower:
                 raise PctlSyntaxError(
                     f"empty step window [{lower},{upper}]"
                 )

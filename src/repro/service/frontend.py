@@ -8,8 +8,9 @@ server (hand-rolled GET parsing — no new dependencies) in front of the
 ``GET /guarantee?family=...&formula=...&<param>=<value>``
     The serving path.  The query names a zoo scenario exactly as
     ``zoo.sweep`` would (family + parameter overrides + checking
-    backend); the store is consulted under *the same* versioned cache
-    key a local sweep uses.  A hit answers ``200`` immediately —
+    backend) and is planned by the same code, so the store is
+    consulted under *the same* versioned cache key a local sweep
+    uses.  A hit answers ``200`` immediately —
     without touching the engine, and on the event loop itself: the
     lookup is a pure read (one ``SELECT``), so it costs no thread
     handoff.  A miss is enqueued as a single-point
@@ -32,11 +33,13 @@ server (hand-rolled GET parsing — no new dependencies) in front of the
     per-family guarantee trends plus the ``/stats`` + ``/healthz``
     snapshot.
 
-The computed value of a ``/guarantee`` miss is bit-identical to a
-serial ``zoo.sweep`` of the same single-point grid: the job comes from
-the same builder as ``sweep_check``'s
-(:func:`~repro.engine.sweep.check_job`), so its sweep function, parsed
-formula and grid-index seed stream are the ones a sweep would ship.
+A ``/guarantee`` is a one-point ``zoo.sweep`` split where the fleet
+runs.  The query is planned by :func:`~repro.zoo.sweep.plan_sweep`, the
+sweep's own first half, so its checks, store key and point job are the
+ones a sweep makes.  A plan with no miss is a hit; a miss submits the
+plan's job, and the job-done callback finishes the plan, banking the
+value exactly as a sweep banks it.  The value is bit-identical to a
+serial ``zoo.sweep`` of the same single-point grid.
 
 Graceful degradation: every coordinator submit goes through a
 :class:`~repro.resilience.CircuitBreaker`.  When the coordinator is
@@ -62,8 +65,8 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from ..engine.config import SmcConfig
-from ..engine.sweep import CHECK_BACKENDS, check_job
-from ..pctl.parser import PctlSyntaxError, parse_formula
+from ..engine.sweep import CheckPlan
+from ..pctl.parser import PctlSyntaxError
 from ..resilience.policies import CircuitBreaker
 from .coordinator import Coordinator, Job
 from .wire import decode_result
@@ -164,16 +167,6 @@ ROUTES = [
                    " /stats and /healthz snapshot.",
     },
 ]
-
-
-def _literal(text: str) -> Any:
-    """Parse a query value exactly as the zoo CLI parses ``-p``."""
-    import ast
-
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
 
 
 def _public_value(value: Any) -> Any:
@@ -277,109 +270,46 @@ class Frontend:
 
     # -- /guarantee --------------------------------------------------------
 
-    def _parse_guarantee(
-        self, params: Dict[str, str], *, require_theta: bool = True
-    ) -> Dict[str, Any]:
-        from ..zoo.registry import ZooError, get_model
+    def _plan(self, params: Dict[str, str], store: Any) -> CheckPlan:
+        """One query as a one-point :func:`~repro.zoo.sweep.plan_sweep`
+        against ``store``: only the HTTP work (numbers, point values,
+        reserved keys) is done here, and what the zoo rejects is a 400."""
+        from ..zoo.registry import parse_param
+        from ..zoo.sweep import plan_sweep
 
         family = params.get("family")
         if not family:
             raise _BadRequest("missing required query parameter 'family'")
-        try:
-            fam = get_model(family)
-        except ZooError as exc:
-            raise _BadRequest(str(exc)) from None
-        backend = params.get("backend", "exact")
-        if backend not in CHECK_BACKENDS:
-            raise _BadRequest(
-                f"unknown backend {backend!r};"
-                f" choose from {', '.join(CHECK_BACKENDS)}"
-            )
         theta = _number(params, "theta", float, None)
-        if theta is not None and not 0.0 < theta < 1.0:
-            raise _BadRequest(f"theta must be in (0,1), got {theta}")
-        try:
-            smc = SmcConfig(
-                epsilon=_number(params, "epsilon", float, 0.01),
-                delta=_number(params, "delta", float, 0.05),
-                seed=_number(params, "seed", int, 0),
-            )
-        except ValueError as exc:
-            raise _BadRequest(str(exc)) from None
-        if backend == "sprt" and theta is None and require_theta:
-            raise _BadRequest("backend=sprt requires theta=<threshold>")
         point = {
-            key: _literal(value)
+            key: parse_param(value)
             for key, value in params.items()
             if key not in _RESERVED
         }
         try:
-            fam.merged_params(point)
-        except ZooError as exc:
-            raise _BadRequest(str(exc)) from None
-        # Canonical text, as sweep_check keys it: any spelling of one
-        # property hits the same row, and a formula that cannot parse
-        # never becomes a job that fails later in a worker.
-        formula = params.get("formula") or fam.default_property
-        try:
-            tree = parse_formula(formula)
+            return plan_sweep(
+                family,
+                [point],
+                params.get("formula") or None,
+                reduce=parse_param(params.get("reduce", "True")) not in (False, 0, "false"),
+                backend=params.get("backend", "exact"),
+                theta=theta,
+                smc=SmcConfig(
+                    epsilon=_number(params, "epsilon", float, 0.01),
+                    delta=_number(params, "delta", float, 0.05),
+                    seed=_number(params, "seed", int, 0),
+                ),
+                store=store,
+            )
         except PctlSyntaxError as exc:
             raise _BadRequest(f"bad formula: {exc}") from None
-        for key, value in point.items():
-            default = fam.defaults[key]
-            if isinstance(default, (int, float)) and isinstance(value, str):
-                raise _BadRequest(
-                    f"parameter {key!r} of family {family!r} must be a"
-                    f" number (default {default!r}), got {value!r}"
-                )
-        return {
-            "family": family,
-            "formula": str(tree),
-            "tree": tree,
-            "backend": backend,
-            "theta": theta,
-            "reduce": _literal(params.get("reduce", "True")) not in (False, 0, "false"),
-            "smc": smc,
-            "point": point,
-        }
+        except ValueError as exc:  # ZooError, a bad backend or config
+            raise _BadRequest(str(exc)) from None
 
-    def _identity(self, query: Dict[str, Any]) -> Tuple[Any, Any]:
-        """(scenario id, config fingerprint) — the store-key pieces of
-        one parsed query, exactly as ``zoo.sweep`` would compute them."""
-        from ..store import check_fingerprint
-        from ..zoo.sweep import _point_store_key
-
-        scenario_id = _point_store_key(
-            query["point"],
-            family=query["family"],
-            base_params=None,
-            reduce=query["reduce"],
-        )
-        fingerprint = check_fingerprint(
-            query["backend"], smc=query["smc"], solver=None,
-            theta=query["theta"],
-        )
-        return scenario_id, fingerprint
-
-    def _store_lookup(self, query: Dict[str, Any]) -> Tuple[Any, Any, Any]:
-        """(scenario id, config fingerprint, hit-or-None) for one query."""
-        scenario_id, fingerprint = self._identity(query)
-        if self.store is None:
-            return scenario_id, fingerprint, None
-        hit = self.store.get(
-            scenario_id, query["formula"], query["backend"], fingerprint
-        )
-        return scenario_id, fingerprint, hit
-
-    def _enqueue_guarantee(
-        self, query: Dict[str, Any], scenario_id: Any, fingerprint: Any
-    ) -> str:
-        """Submit the miss as a single-point sweep job; returns job id.
-
-        The job is exactly the single-point grid ``zoo.sweep`` would
-        run, built by the same :func:`~repro.zoo.sweep.point_builder`
-        and :func:`~repro.engine.sweep.check_job` — so the result is
-        bit-identical and cache-compatible.
+    def _enqueue_guarantee(self, plan: CheckPlan, body: Dict[str, Any]) -> str:
+        """Submit the plan's job on the ``(0, point)`` entry, as
+        ``zoo.sweep`` would run it; returns the job id.  The in-flight
+        table is keyed by the plan's store query.
 
         Degradation surface: a query already in flight shares its job
         unconditionally; a *new* job first has to pass the circuit
@@ -388,28 +318,9 @@ class Frontend:
         submit failure (coordinator shutting down / gone) records a
         breaker failure before surfacing as :class:`_Degraded`.
         """
-        from ..zoo.sweep import point_builder
         from .wire import encode
 
-        run = check_job(
-            point_builder(
-                query["family"],
-                None,
-                reduce=query["reduce"],
-                backend=query["backend"],
-                tree=query["tree"],
-            ),
-            query["tree"],
-            1,
-            backend=query["backend"],
-            theta=query["theta"],
-            smc=query["smc"],
-            solver=None,
-        )
-        key = json.dumps(
-            [scenario_id, query["formula"], query["backend"], fingerprint],
-            sort_keys=True, default=repr,
-        )
+        key = json.dumps(plan.queries[0], sort_keys=True, default=repr)
         with self._lock:
             inflight = self._inflight.get(key)
             if inflight is not None:
@@ -434,18 +345,15 @@ class Frontend:
                 )
             try:
                 job_id = self.coordinator.submit(
-                    encode(run),
-                    [encode((0, query["point"]))],
+                    encode(plan.job),
+                    [encode((0, body["point"]))],
                     meta={
                         "kind": "guarantee",
-                        "family": query["family"],
-                        "formula": query["formula"],
-                        "backend": query["backend"],
+                        "family": body["family"],
+                        "formula": body["formula"],
+                        "backend": body["backend"],
                     },
-                    on_done=functools.partial(
-                        self._bank, query=query, scenario_id=scenario_id,
-                        fingerprint=fingerprint, key=key,
-                    ),
+                    on_done=functools.partial(self._bank, plan=plan, key=key),
                 )
             except Exception as exc:  # noqa: BLE001 - any submit failure
                 self.breaker.record_failure()
@@ -457,67 +365,53 @@ class Frontend:
             self._inflight[key] = job_id
             return job_id
 
-    def _bank(
-        self, job: Job, *, query: Dict[str, Any], scenario_id: Any,
-        fingerprint: Any, key: str,
-    ) -> None:
-        """Job-done callback: write the value under the sweep's key,
-        then retire the in-flight entry (a re-request sees either the
-        job or the banked value, never a gap between them)."""
+    def _bank(self, job: Job, *, plan: CheckPlan, key: str) -> None:
+        """Job-done callback: finish the plan with the job's result, so
+        the value is banked exactly as a sweep banks it, then retire
+        the in-flight entry (a re-request sees either the job or the
+        banked value, never a gap between them)."""
         try:
-            result = decode_result(job.results[0]) if job.results else None
-            if self.store is not None and result is not None and result.ok:
-                self.store.put(
-                    scenario_id,
-                    query["formula"],
-                    result.value,
-                    backend=query["backend"],
-                    config=fingerprint,
-                    seconds=result.seconds,
-                    extra={"family": query["family"]},
-                )
+            if job.results:
+                plan.finish([decode_result(job.results[0])])
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
 
     def lookup(self, params: Dict[str, str]) -> Any:
-        """The ``/guarantee`` lookup step: parse, key, store read.
+        """The ``/guarantee`` lookup step: plan the one-point check.
 
-        Returns ``(200, body)`` on a store hit, or the miss step as a
-        zero-argument callable answering 202/429/503; raises
-        :class:`_BadRequest` for a bad query.  A pure read, so the
-        server runs it on its event loop; only the miss step goes to a
-        thread.
+        Returns ``(200, body)`` when the plan has no miss, or the miss
+        step as a zero-argument callable answering 202/429/503; raises
+        :class:`_BadRequest` for a bad query.  A pure read (one
+        ``SELECT``), so the server runs it on its event loop; only the
+        miss step goes to a thread.
         """
-        query = self._parse_guarantee(params)
-        scenario_id, fingerprint, hit = self._store_lookup(query)
+        plan = self._plan(params, self.store)
         body = {
-            "family": query["family"],
-            "formula": query["formula"],
-            "backend": query["backend"],
-            "point": query["point"],
+            "family": params["family"],
+            "formula": plan.formula,
+            "backend": plan.backend,
+            "point": plan.points[0],
         }
-        if hit is None:
-            return functools.partial(
-                self._miss, query, scenario_id, fingerprint, body
-            )
+        if plan.misses:
+            return functools.partial(self._miss, plan, body)
+        (hit,) = plan.cached.values()
         self.hits += 1
         body.update(
             value=_public_value(hit.value),
             cached=True,
             seconds=hit.seconds,
-            samples=hit.samples,
+            samples=int(getattr(hit.value, "samples", 0) or 0),
         )
         return 200, body
 
     def _miss(
-        self, query: Dict[str, Any], scenario_id: Any, fingerprint: Any,
-        body: Dict[str, Any],
+        self, plan: CheckPlan, body: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
         """The ``/guarantee`` miss step: enqueue the point as a job."""
         self.misses += 1
         try:
-            job_id = self._enqueue_guarantee(query, scenario_id, fingerprint)
+            job_id = self._enqueue_guarantee(plan, body)
         except (_Degraded, _Overloaded) as exc:
             self.shed += 1
             body.update(
@@ -547,16 +441,18 @@ class Frontend:
                 "error": "no result store configured"
                 " (run `repro-zoo serve --store PATH`)"
             }
-        query = self._parse_guarantee(params, require_theta=False)
-        scenario_id, _fingerprint = self._identity(query)
-        points = self.store.history(
-            scenario_id, query["formula"], query["backend"]
-        )
+        if params.get("backend") == "sprt":
+            # A history spans every config of the guarantee, so any
+            # valid threshold plans the same scenario and formula.
+            params = {"theta": "0.5", **params}
+        plan = self._plan(params, None)
+        scenario, formula, backend, _config = plan.queries[0]
+        points = self.store.history(scenario, formula, backend)
         return 200, {
-            "family": query["family"],
-            "formula": query["formula"],
-            "backend": query["backend"],
-            "point": query["point"],
+            "family": params["family"],
+            "formula": formula,
+            "backend": backend,
+            "point": plan.points[0],
             "count": len(points),
             "salts": list(dict.fromkeys(p.salt for p in points)),
             "points": [

@@ -64,7 +64,6 @@ serving, misses get 503 + ``Retry-After`` once the circuit breaker
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import dataclasses
 import os
@@ -82,21 +81,13 @@ from .sweep import sweep as _sweep
 __all__ = ["main"]
 
 
-def _literal(text: str) -> Any:
-    """Parse a CLI value: Python literal when possible, else string."""
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
-
-
 def _parse_params(pairs: Optional[Iterable[str]]) -> Dict[str, Any]:
     params: Dict[str, Any] = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise SystemExit(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        params[key.strip()] = _literal(value.strip())
+        params[key.strip()] = registry.parse_param(value.strip())
     return params
 
 
@@ -106,7 +97,9 @@ def _parse_axes(pairs: Optional[Iterable[str]]) -> Dict[str, List[Any]]:
         if "=" not in pair:
             raise SystemExit(f"expected key=v1,v2,..., got {pair!r}")
         key, _, values = pair.partition("=")
-        axes[key.strip()] = [_literal(v.strip()) for v in values.split(",") if v.strip()]
+        axes[key.strip()] = [
+            registry.parse_param(v.strip()) for v in values.split(",") if v.strip()
+        ]
     return axes
 
 

@@ -18,6 +18,7 @@ the zoo with one :func:`register_model` call (or the
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -30,6 +31,7 @@ __all__ = [
     "get_model",
     "list_models",
     "unregister_model",
+    "parse_param",
 ]
 
 
@@ -75,7 +77,8 @@ class ModelFamily:
     tags: Tuple[str, ...] = ()
 
     def merged_params(self, params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Defaults overlaid with ``params``; unknown keys are errors."""
+        """Defaults overlaid with ``params``; unknown keys, and text
+        given for a parameter whose default is a number, are errors."""
         merged = dict(self.defaults)
         if params:
             unknown = sorted(set(params) - set(merged))
@@ -84,8 +87,25 @@ class ModelFamily:
                     f"unknown parameter(s) {', '.join(unknown)} for family"
                     f" {self.name!r}; valid: {', '.join(sorted(merged))}"
                 )
+            for key, value in params.items():
+                default = merged[key]
+                if isinstance(default, (int, float)) and isinstance(value, str):
+                    raise ZooError(
+                        f"parameter {key!r} of family {self.name!r} must be a"
+                        f" number (default {default!r}), got {value!r}"
+                    )
             merged.update(params)
         return merged
+
+
+def parse_param(text: str) -> Any:
+    """One parameter value given as text (``repro-zoo -p key=value``,
+    a ``/guarantee`` query): the Python literal it spells, else the
+    text itself."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
 
 
 _REGISTRY: Dict[str, ModelFamily] = {}

@@ -1,8 +1,8 @@
 """Zoo-wide sweeps: fan a family's parameter grid through the engine.
 
 :func:`sweep` is the scenario-grid entry point the registry enables:
-name a family, name the axes, and the grid fans through
-:func:`repro.engine.sweep_check` with any of its checking backends —
+name a family, name the axes, and the grid is checked as
+:func:`repro.engine.sweep_check` checks it, with any of its backends —
 ``"exact"`` (the cached solver engine), ``"apmc"`` (Hoeffding
 estimates) or ``"sprt"`` (threshold decisions).  Every point builds
 through the shared reduction pipeline, so large grids automatically
@@ -14,11 +14,14 @@ read-through cached: points are keyed by the *fully merged*
 :class:`~repro.zoo.pipeline.ScenarioSpec` identity (family + defaults
 + base params + point + the ``reduce`` flag), so a warm repeat of the
 same grid — or any overlapping grid — is served from the store instead
-of re-solved.  ``executor="process"`` leases shards of the grid to
-forked workers and ``executor="remote"`` to the worker fleet (see
-:func:`repro.engine.sweep`); the merged results are bit-identical to
-the serial path because per-point seed streams are spawned by grid
-index.
+of re-solved.  :func:`plan_sweep` is the one place that key is made:
+:func:`sweep` is that plan plus its run, and the service's
+``/guarantee`` route is the same plan of one point, so a row banked by
+either side is a warm hit for the other.  ``executor="process"``
+leases shards of the grid to forked workers and ``executor="remote"``
+to the worker fleet (see :func:`repro.engine.sweep`); the merged
+results are bit-identical to the serial path because per-point seed
+streams are spawned by grid index.
 
 :func:`survey` is the zoo-wide smoke sweep: every registered family at
 its defaults against its own default property — the "does the whole
@@ -34,13 +37,12 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..engine import SmcConfig, SweepResult
 from ..engine import grid as engine_grid
-from ..engine import sweep_check
-from ..engine.sweep import validate_executor
+from ..engine.sweep import CheckPlan, validate_backend, validate_executor
 from ..pctl import StateFormula, parse_formula
 from .pipeline import ScenarioSpec, build
 from .registry import ZooError, get_model, list_models
 
-__all__ = ["sweep", "survey", "point_builder"]
+__all__ = ["sweep", "survey", "plan_sweep", "point_builder"]
 
 
 def _build_point(
@@ -66,8 +68,7 @@ def point_builder(
     tree: StateFormula,
 ) -> functools.partial:
     """The ``build(point)`` of one grid: a picklable partial over
-    :func:`_build_point`, shared by :func:`sweep` and the service's
-    ``/guarantee`` misses so both ship the same job.
+    :func:`_build_point`.
 
     Only an exact check of reduced chains hands the pipeline the parsed
     formula ``tree``, so a short step-bounded check skips lumping.
@@ -105,6 +106,50 @@ def _point_store_key(
     merged = get_model(family).merged_params(params)
     spec = ScenarioSpec(family=family, params=merged)
     return ["zoo", spec.key(), ["reduce", bool(reduce)]]
+
+
+def plan_sweep(
+    family: str,
+    points: Sequence[Mapping[str, Any]],
+    formula=None,
+    *,
+    base_params: Optional[Mapping[str, Any]] = None,
+    reduce: bool = True,
+    backend: str = "exact",
+    theta: Optional[float] = None,
+    smc: Optional[SmcConfig] = None,
+    solver=None,
+    store=None,
+) -> CheckPlan:
+    """The first half of :func:`sweep`: the
+    :class:`~repro.engine.sweep.CheckPlan` of ``points`` against
+    ``store``, with :func:`point_builder` as its build and the merged
+    parameters of :func:`_point_store_key` as its scenario key.
+
+    Keying merges each point's parameters, so an unknown family,
+    backend or parameter, text for a numeric parameter, a bad
+    threshold or formula all raise before any store read, build or
+    fork.  The service plans its ``/guarantee`` and ``/history``
+    queries here too, so a row has one key.
+    """
+    fam = get_model(family)
+    validate_backend(backend, theta, ZooError)
+    tree = parse_formula(fam.default_property if formula is None else formula)
+    base = dict(base_params) if base_params else None
+    return CheckPlan(
+        point_builder(family, base, reduce=reduce, backend=backend, tree=tree),
+        points,
+        tree,
+        backend=backend,
+        theta=theta,
+        smc=smc,
+        solver=solver,
+        store=store,
+        store_key=functools.partial(
+            _point_store_key, family=family, base_params=base, reduce=reduce
+        ),
+        store_extra={"family": family},
+    )
 
 
 def sweep(
@@ -174,46 +219,21 @@ def sweep(
     :func:`repro.resilience.validate_guarantee`, which attaches
     ``SweepResult.warnings``.  Returns the ordered
     :class:`~repro.engine.SweepResult` list; each result's ``point`` is
-    the per-point parameter dict.
+    the per-point parameter dict.  It is :func:`plan_sweep` and its run.
     """
-    fam = get_model(family)  # fail fast on unknown names
     validate_executor(executor, ZooError)
     if (axes is None) == (points is None):
         raise ValueError("pass exactly one of axes= or points=")
     if points is None:
         points = engine_grid(**{k: list(v) for k, v in axes.items()})
-    if formula is None:
-        formula = fam.default_property
-    tree = parse_formula(formula)
-    builder = point_builder(
-        family, base_params, reduce=reduce, backend=backend, tree=tree
+    plan = plan_sweep(
+        family, points, formula,
+        base_params=base_params, reduce=reduce, backend=backend,
+        theta=theta, smc=smc, solver=solver, store=store,
     )
-    store_key = None
-    if store is not None:
-        store_key = functools.partial(
-            _point_store_key,
-            family=family,
-            base_params=dict(base_params) if base_params else None,
-            reduce=reduce,
-        )
-    return sweep_check(
-        builder,
-        list(points),
-        tree,
-        backend=backend,
-        theta=theta,
-        smc=smc,
-        solver=solver,
-        executor=executor,
-        max_workers=max_workers,
-        on_error=on_error,
-        shard_size=shard_size,
-        remote=remote,
-        store=store,
-        store_key=store_key,
-        store_extra={"family": family} if store is not None else None,
-        retry=retry,
-        deadline=deadline,
+    return plan.run(
+        executor=executor, max_workers=max_workers, on_error=on_error,
+        shard_size=shard_size, retry=retry, deadline=deadline, remote=remote,
     )
 
 

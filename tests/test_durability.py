@@ -678,7 +678,7 @@ class TestFrontendDegradation:
     def test_warm_hit_still_serves_while_open(self):
         front = self._tripped()
         hit = types.SimpleNamespace(value=0.25, seconds=0.1, samples=100)
-        front._store_lookup = lambda query: ("sid", "fp", hit)
+        front.store = types.SimpleNamespace(get_many=lambda queries: [hit])
         status, body = front.route("GET", "/guarantee?family=birth-death&n=8")
         assert status == 200
         assert body["cached"] and body["value"] == 0.25

@@ -213,3 +213,43 @@ class TestStepHorizon:
 
     def test_lower_bound_without_upper_is_unbounded(self):
         assert step_horizon(ProbQuery(Eventually(Label("goal"), None, 2))) is None
+
+
+class TestOpenStepWindows:
+    """``[a,inf]`` is the printed form of a window with no upper bound,
+    so every window parses back from its own text (rows are keyed by
+    ``str(tree)``)."""
+
+    @staticmethod
+    def _paths(lower, bound):
+        goal = Label("goal")
+        return (
+            Eventually(goal, bound, lower),
+            Globally(goal, bound, lower),
+            Until(Label("safe"), goal, bound, lower),
+        )
+
+    @pytest.mark.parametrize("lower", [0, 1, 2])
+    @pytest.mark.parametrize("width", [None, 0, 3])
+    def test_every_window_round_trips(self, lower, width):
+        bound = None if width is None else lower + width
+        for path in self._paths(lower, bound):
+            tree = ProbQuery(path)
+            assert parse_formula(str(tree)) == tree
+            if bound is None:
+                assert step_horizon(tree) is None
+            else:
+                assert step_horizon(tree) == bound
+
+    def test_inf_parses_as_no_upper_bound(self):
+        assert parse_formula("P=? [ F[2,inf] goal ]") == ProbQuery(
+            Eventually(Label("goal"), None, 2)
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["P=? [ F[inf,3] goal ]", "P=? [ F[inf,inf] goal ]", "P=? [ G<=inf goal ]"],
+    )
+    def test_inf_is_only_an_upper_end(self, text):
+        with pytest.raises(PctlSyntaxError):
+            parse_formula(text)

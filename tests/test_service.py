@@ -34,6 +34,7 @@ import os
 import socket
 import threading
 import time
+import types
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -849,6 +850,60 @@ class TestPointJob:
         assert _comparable_job(miss) == _comparable_job(swept)
 
 
+#: One guarantee per backend: its /guarantee query and zoo.sweep kwargs.
+_SHARED_ROWS = {
+    "exact": ("", {}),
+    "apmc": (
+        "&backend=apmc&epsilon=0.1&delta=0.1&seed=3",
+        {"backend": "apmc", "smc": SmcConfig(epsilon=0.1, delta=0.1, seed=3)},
+    ),
+    "sprt": (
+        "&backend=sprt&theta=0.5&seed=3",
+        {"backend": "sprt", "theta": 0.5, "smc": SmcConfig(seed=3)},
+    ),
+}
+
+
+class TestSharedRows:
+    """A guarantee has one store row, whichever side banks it."""
+
+    @staticmethod
+    def _identity(row):
+        return row.scenario, row.formula, row.backend, row.config, row.family
+
+    @pytest.mark.parametrize("backend", sorted(_SHARED_ROWS))
+    def test_rows_are_shared_both_ways(self, tmp_path, backend):
+        from repro.service.frontend import _public_value
+
+        query, kwargs = _SHARED_ROWS[backend]
+        path = f"/guarantee?family=birth-death&n=8{query}"
+        # A row banked by zoo.sweep is a /guarantee hit ...
+        with ResultStore(tmp_path / "swept.sqlite") as store:
+            (swept,) = zoo.sweep(
+                "birth-death", points=[{"n": 8}], store=store, **kwargs
+            )
+            front = Frontend(Coordinator(salt="s"), store=store)
+            status, hit = front.route("GET", path)
+            assert status == 200 and hit["cached"]
+            assert hit["value"] == _public_value(swept.value)
+            (swept_row,) = store.query()
+        # ... and a row banked by a /guarantee miss is a zoo.sweep hit.
+        with ResultStore(tmp_path / "served.sqlite") as store:
+            with _fleet(classes=(_TameWorker,)) as (server, _workers):
+                front = Frontend(server.coordinator, store=store)
+                status, miss = front.route("GET", path)
+                assert status == 202
+                deadline = time.time() + 30.0
+                while time.time() < deadline and len(store) == 0:
+                    time.sleep(0.05)  # banked on the job-done thread
+            (served,) = zoo.sweep(
+                "birth-death", points=[{"n": 8}], store=store, **kwargs
+            )
+            assert served.cached and served.value == swept.value
+            (served_row,) = store.query()
+        assert self._identity(served_row) == self._identity(swept_row)
+
+
 class TestFrontend:
     def test_route_errors(self):
         front = Frontend(Coordinator(salt="s"))
@@ -924,7 +979,7 @@ class TestFrontend:
             raise RuntimeError("store went away")
 
         front.healthz = broken  # a thread-pool route
-        front._store_lookup = broken  # the loop-served lookup
+        front.store = types.SimpleNamespace(get_many=broken)  # the loop-served read
         with FrontendServer(front, port=0) as server:
             for path in ("/healthz", "/guarantee?family=birth-death"):
                 with pytest.raises(urllib.error.HTTPError) as exc:

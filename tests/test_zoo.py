@@ -7,6 +7,8 @@ is buildable, and the statistical backends must agree with the exact
 engine within their Hoeffding guarantee.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -452,6 +454,73 @@ class TestZooSweep:
         assert all(r.ok for r in results.values())
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestRequestsFailBeforeWork:
+    """A request a sweep cannot run raises before any store read, build
+    or fork, instead of coming back as one failed point per grid point."""
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    @pytest.mark.parametrize(
+        "points, kwargs, error, needle",
+        [
+            ([{"n": 8}, {"bogus": 1}], {}, ZooError, "unknown parameter"),
+            ([{"n": 8}, {"n": "abc"}], {}, ZooError, "'n'"),
+            ([{"n": 8}, {"n": 10}], {"backend": "sprt", "theta": 1.5},
+             ValueError, "theta"),
+        ],
+    )
+    def test_nothing_runs(
+        self, tmp_path, monkeypatch, with_store, points, kwargs, error, needle
+    ):
+        engine_sweep = importlib.import_module("repro.engine.sweep")
+        zoo_sweep = importlib.import_module("repro.zoo.sweep")
+        calls = []
+        for module, name in (
+            (engine_sweep, "_check_point"),
+            (engine_sweep, "_process_sweep"),
+            (zoo_sweep, "build"),
+        ):
+            monkeypatch.setattr(
+                module, name, _counting(calls, name, getattr(module, name))
+            )
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            for name in ("get_many", "put"):
+                monkeypatch.setattr(
+                    store, name, _counting(calls, name, getattr(store, name))
+                )
+            with pytest.raises(error, match=needle):
+                zoo.sweep(
+                    "birth-death", points=points, executor="process",
+                    store=store if with_store else None, **kwargs,
+                )
+        assert calls == []
+
+    def test_warm_statistical_sweep_builds_no_job(self, tmp_path, monkeypatch):
+        engine_sweep = importlib.import_module("repro.engine.sweep")
+        kwargs = dict(
+            axes={"n": [4, 6, 8]}, backend="apmc",
+            smc=SmcConfig(epsilon=0.1, delta=0.1, seed=3), executor="serial",
+        )
+        with ResultStore(tmp_path / "warm.sqlite") as store:
+            cold = zoo.sweep("birth-death", store=store, **kwargs)
+            jobs = []
+            monkeypatch.setattr(
+                engine_sweep, "check_job",
+                _counting(jobs, "check_job", engine_sweep.check_job),
+            )
+            warm = zoo.sweep("birth-death", store=store, **kwargs)
+        assert all(r.cached for r in warm)
+        assert [r.value for r in warm] == [r.value for r in cold]
+        assert jobs == []
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -505,6 +574,12 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_text_for_a_number_exits_two(self, capsys):
+        code = zoo_main(["sweep", "birth-death", "-p", "n=abc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'n'" in err
 
     def test_sweep_sprt_without_theta_is_friendly(self, capsys):
         code = zoo_main(
