@@ -56,6 +56,7 @@ Run from the repository root::
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -90,10 +91,9 @@ def _get(url):
         return exc.code, json.load(exc)
 
 
-def _coordinator_crash_phase(env) -> None:
+def _coordinator_crash_phase(env, tmp: str) -> None:
     """SIGKILL the coordinator mid-sweep, restart it on the same
     journal, and assert the fleet heals itself (ISSUE 10)."""
-    tmp = tempfile.mkdtemp(prefix="service-smoke-crash-")
     journal = os.path.join(tmp, "journal.sqlite")
     store_path = os.path.join(tmp, "crash.sqlite")
     coord_port, http_port = free_port(), free_port()
@@ -232,10 +232,9 @@ def _alive(pid: int) -> bool:
         return False
 
 
-def _push_phase(env) -> None:
+def _push_phase(env, tmp: str) -> None:
     """Cold misses finish in milliseconds with a 5 s heartbeat, and a
     SIGINT stops serve and its parked worker at once."""
-    tmp = tempfile.mkdtemp(prefix="service-smoke-push-")
     coord_port, http_port = free_port(), free_port()
     address = f"127.0.0.1:{coord_port}"
     serve = subprocess.Popen(
@@ -289,15 +288,9 @@ def _push_phase(env) -> None:
     print("push phase OK")
 
 
-def main() -> int:
-    env = dict(os.environ)
-    src_root = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "..", "src"
-    )
-    env["PYTHONPATH"] = (
-        os.path.abspath(src_root) + os.pathsep + env.get("PYTHONPATH", "")
-    )
-
+def _fleet_phase(env, tmp: str) -> None:
+    """Steps 1-7: a remote sweep that loses a worker, then the serving
+    and history surfaces on what it banked."""
     server = CoordinatorServer(port=0, heartbeat=0.2).start()
     print(f"coordinator on {server.address}")
     workers = [
@@ -308,7 +301,7 @@ def main() -> int:
         )
         for i in range(2)
     ]
-    store_path = os.path.join(tempfile.mkdtemp(prefix="service-smoke-"), "smoke.sqlite")
+    store_path = os.path.join(tmp, "smoke.sqlite")
     store = ResultStore(store_path)
     front = FrontendServer(
         Frontend(server.coordinator, store=store), port=0
@@ -447,8 +440,23 @@ def main() -> int:
     store.close()
     print("clean shutdown, no orphaned workers")
 
-    _coordinator_crash_phase(env)
-    _push_phase(env)
+
+def main() -> int:
+    env = dict(os.environ)
+    src_root = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "..", "src"
+    )
+    env["PYTHONPATH"] = (
+        os.path.abspath(src_root) + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    # Every phase's stores and journal live here, removed pass or fail.
+    tmp = tempfile.mkdtemp(prefix="service-smoke-")
+    try:
+        _fleet_phase(env, tmp)
+        _coordinator_crash_phase(env, tmp)
+        _push_phase(env, tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     print("SERVICE SMOKE OK")
     return 0
 

@@ -20,8 +20,9 @@ Parallel work always runs as *leases*: the point grid is chunked into
 contiguous shards (``shard_size`` points each), and each worker — a
 forked process or a fleet member — holds one shard lease at a time,
 so dispatch and pickling are amortized across a shard.  The ordered
-merge of shard results is bit-identical to the serial path — per-point
-seed streams are spawned by grid index, never by worker, so shards are
+merge of shard results is bit-identical to the serial path — a point's
+value depends only on its store query (scenario key, formula, backend,
+config), never on its grid position or worker, so shards are
 embarrassingly mergeable.
 
 Every runner is fault-tolerant (see :mod:`repro.resilience`):
@@ -57,12 +58,14 @@ on large scenario grids via the fused batched trials of
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
 import multiprocessing
 import os
 import pickle
+import struct
 import threading
 import time
 import traceback as _traceback
@@ -776,18 +779,30 @@ def check_value(
 
 
 def _check_point(
-    entry,
+    point,
     *,
     build,
+    key,
     formula,
     backend,
     theta,
     config,
     solver,
-    seeds,
 ) -> Any:
-    """One :func:`sweep_check` point; module-level for picklability."""
-    index, point = entry
+    """One :func:`sweep_check` point; module-level for picklability.
+
+    A statistical check draws from the seed stream of ``config.seed``
+    spawned by the point's store key: four 32-bit words of the SHA-256
+    of ``key(point)``'s canonical text.  So its value depends only on
+    its store query (scenario key, formula, backend, config), never on
+    its grid position or worker.  An exact check reads no seed.
+    """
+    seed = None
+    if backend != "exact":
+        digest = hashlib.sha256(_canonical_point(key(point)).encode("utf-8")).digest()
+        seed = np.random.SeedSequence(
+            config.seed, spawn_key=struct.unpack(">4I", digest[:16])
+        )
     return check_value(
         build(point),
         formula,
@@ -795,48 +810,13 @@ def _check_point(
         theta=theta,
         smc=config,
         solver=solver,
-        seed=seeds[index],
+        seed=seed,
     )
 
 
-def check_job(
-    build: Callable[[Any], Any],
-    tree,
-    count: int,
-    *,
-    backend: str,
-    theta: Optional[float],
-    smc: SmcConfig,
-    solver,
-) -> functools.partial:
-    """The sweep function of one check over a grid of ``count`` points
-    (:attr:`CheckPlan.job`, so a sweep and a ``/guarantee`` miss ship
-    the same job).
-
-    A partial over the module-level :func:`_check_point` (looked up at
-    call time, so a patched one takes effect) carrying the parsed
-    formula ``tree``, so no point re-parses it.  Statistical backends
-    get one seed stream per grid index, spawned from ``smc.seed``; an
-    exact job ships ``[None] * count``, since an exact check reads no
-    seed (a worker running an older ``_check_point`` still indexes the
-    list).
-    """
-    if backend == "exact":
-        seeds = [None] * count
-    else:
-        seeds = np.random.SeedSequence(smc.seed).spawn(count)
-    # partial over a module-level runner (not a closure) so
-    # executor="process" and the fleet can pickle the sweep function.
-    return functools.partial(
-        _check_point,
-        build=build,
-        formula=tree,
-        backend=backend,
-        theta=theta,
-        config=smc,
-        solver=solver,
-        seeds=seeds,
-    )
+def _same(point: Any) -> Any:
+    """The store key of a plan without one: the point itself."""
+    return point
 
 
 def _canonical_point(point: Any) -> str:
@@ -857,10 +837,10 @@ class CheckPlan:
     dedupes the points, keys each distinct point in :attr:`queries`
     (``{grid index: (scenario, formula, backend, config)}``, the
     scenario from ``store_key``) and, with a ``store``, reads them all
-    with one ``get_many``: hits land in :attr:`cached` and the rest in
-    :attr:`misses`.  :attr:`job` runs the misses and is built on first
-    use, so a fully warm plan builds none; :meth:`finish` is the other
-    half.
+    with one ``get_many``: hits land in :attr:`cached` and the grid
+    indices of the rest in :attr:`misses`.  :attr:`job` runs the miss
+    points and is built on first use, so a fully warm plan builds none;
+    :meth:`finish` is the other half.
     """
 
     def __init__(
@@ -888,21 +868,21 @@ class CheckPlan:
         self.build, self.backend, self.theta, self.solver = build, backend, theta, solver
         self.smc = SmcConfig.coerce(smc)
         self.store, self.store_extra = store, store_extra
+        self.key = store_key if store_key is not None else _same
 
         # Deduplicate: each distinct canonical point is solved exactly
-        # once, at its first grid index (which also pins its seed stream).
-        first: Dict[str, int] = {}
+        # once, at its first grid index.
+        self._first: Dict[str, int] = {}
         self._first_of = [
-            first.setdefault(_canonical_point(point), index)
+            self._first.setdefault(_canonical_point(point), index)
             for index, point in enumerate(self.points)
         ]
         fingerprint = check_fingerprint(
             backend, smc=self.smc, solver=solver, theta=theta
         )
-        key_of = store_key if store_key is not None else lambda point: point
         self.queries: Dict[int, Tuple[Any, str, str, Any]] = {
-            index: (key_of(self.points[index]), self.formula, backend, fingerprint)
-            for index in first.values()
+            index: (self.key(self.points[index]), self.formula, backend, fingerprint)
+            for index in self._first.values()
         }
         self.cached: Dict[int, SweepResult] = {}
         if store is not None:
@@ -919,11 +899,23 @@ class CheckPlan:
 
     @functools.cached_property
     def job(self) -> functools.partial:
-        """The sweep function (:func:`check_job`) of the ``(grid index,
-        point)`` entries of :attr:`misses`."""
-        return check_job(
-            self.build, self.tree, len(self.points),
-            backend=self.backend, theta=self.theta, smc=self.smc,
+        """The sweep function of the :attr:`misses`, so a sweep and a
+        ``/guarantee`` miss ship the same job.
+
+        A partial over the module-level :func:`_check_point` (looked up
+        now, so a patched one takes effect; a partial, not a closure, so
+        ``executor="process"`` and the fleet can pickle it) carrying the
+        parsed formula tree, so no point re-parses it, and the store key
+        each statistical point draws its seed stream from.
+        """
+        return functools.partial(
+            _check_point,
+            build=self.build,
+            key=self.key,
+            formula=self.tree,
+            backend=self.backend,
+            theta=self.theta,
+            config=self.smc,
             solver=self.solver,
         )
 
@@ -945,13 +937,12 @@ class CheckPlan:
 
     def finish(self, computed: Sequence[SweepResult]) -> List[SweepResult]:
         """The half after the fan-out, given the results of the
-        :attr:`misses` entries in order: bank the successes, unwrap the
-        entries, validate every value, and return one result per point
-        (duplicates share their first occurrence's)."""
+        :attr:`misses` in order: bank the successes, validate every
+        value, and return one result per point (duplicates share their
+        first occurrence's)."""
         by_index = dict(self.cached)
         for index, result in zip(self.misses, computed):
             self.bank(index, result)
-            result.point = result.point[1]  # unwrap the (index, point) plumbing
             by_index[index] = result
 
         kind = formula_kind(self.tree)
@@ -974,16 +965,15 @@ class CheckPlan:
         raises for the first failed point."""
         computed: List[SweepResult] = []
         if self.misses:
-            entries = [(index, self.points[index]) for index in self.misses]
+            points = [self.points[index] for index in self.misses]
             try:
-                computed = sweep(self.job, entries, on_error="capture", **options)
+                computed = sweep(self.job, points, on_error="capture", **options)
             except SweepInterrupted as interrupt:
                 # Ctrl-C: bank every successful partial before
                 # propagating, so a --store sweep resumes from exactly
                 # where it was cut off.
                 for result in interrupt.partial:
-                    if isinstance(result.point, tuple):
-                        self.bank(result.point[0], result)
+                    self.bank(self._first[_canonical_point(result.point)], result)
                 raise
         results = self.finish(computed)
         if on_error == "raise":
@@ -1032,16 +1022,16 @@ def sweep_check(
         :class:`~repro.smc.SprtResult`.
 
     Statistical points draw from independent, deterministic seed
-    streams spawned from ``smc.seed`` *by grid index*, so results are
-    reproducible and executor-independent.  Only bounded path formulas
-    are supported by the statistical backends — exactly the trade the
-    paper discusses: scenario grids can swap exhaustive guarantees for
-    sampled ones with explicit (epsilon, delta) error bounds when
-    throughput matters.
+    streams spawned from ``smc.seed`` by their store key: a point's
+    value depends only on its store query (scenario key, formula,
+    backend, config), never on its grid position or worker.  Only
+    bounded path formulas are supported by the statistical backends —
+    exactly the trade the paper discusses: scenario grids can swap
+    exhaustive guarantees for sampled ones with explicit
+    (epsilon, delta) error bounds when throughput matters.
 
     Identical points (same canonical parameter dict) within one call
-    are solved once: duplicates reuse the first occurrence's result
-    (and, for statistical backends, its seed stream).
+    are solved once: duplicates reuse the first occurrence's result.
 
     ``formula`` is pCTL text or its parsed tree.  Text is parsed once,
     up front (a :class:`~repro.pctl.PctlSyntaxError` raises before any
@@ -1059,8 +1049,9 @@ def sweep_check(
     (default: the point itself) and ``store_extra`` is provenance
     merged into every banked row (``store_extra["family"]`` also fills
     the store's queryable ``family`` column).  Store traffic happens in
-    the submitting process only, so neither ``store`` nor ``store_key``
-    needs to be picklable for ``executor="process"``.
+    the submitting process only, so ``store`` need not be picklable;
+    ``store_key`` ships with the job (it seeds statistical points), so
+    on any executor but ``"serial"`` it must be picklable.
 
     Only *successful* points are ever banked — a transient failure is
     recomputed on the next run, never served as a warm hit — which is

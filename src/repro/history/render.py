@@ -28,14 +28,14 @@ _ACCENT = "#4269d0"
 #: Status label -> dot color; the label text always rides along.
 _STATUS = {"stable": "#2e7d43", "drift": "#b45309", "flagged": "#b91c1c"}
 
+#: Sparkline size in pixels, and the padding inside it.
+_WIDTH, _HEIGHT, _PAD = 140, 30, 3.0
 
-def sparkline(
-    values: Sequence[Optional[float]],
-    *,
-    width: int = 140,
-    height: int = 30,
-    pad: float = 3.0,
-) -> str:
+#: The page's ``<title>`` and heading.
+_TITLE = "repro guarantee dashboard"
+
+
+def sparkline(values: Sequence[Optional[float]]) -> str:
     """Inline-SVG sparkline of one metric trajectory.
 
     ``None`` entries (non-numeric versions) and NaN or infinite values
@@ -48,12 +48,12 @@ def sparkline(
         (i, v) for i, v in enumerate(values)
         if v is not None and math.isfinite(v)
     ]
+    head = (
+        f'<svg class="spark" width="{_WIDTH}" height="{_HEIGHT}"'
+        f' viewBox="0 0 {_WIDTH} {_HEIGHT}" role="img"'
+    )
     if not points:
-        return (
-            f'<svg class="spark" width="{width}" height="{height}"'
-            f' viewBox="0 0 {width} {height}" role="img"'
-            f' aria-label="no numeric history"></svg>'
-        )
+        return f'{head} aria-label="no numeric history"></svg>'
     xs = [i for i, _ in points]
     ys = [v for _, v in points]
     lo, hi = min(ys), max(ys)
@@ -62,18 +62,14 @@ def sparkline(
 
     def coord(i: int, v: float) -> str:
         """Map one (index, value) pair onto the padded viewBox."""
-        x = pad + (i - min(xs)) * (width - 2 * pad) / span_x
-        y = height - pad - (v - lo) * (height - 2 * pad) / span_y
+        x = _PAD + (i - min(xs)) * (_WIDTH - 2 * _PAD) / span_x
+        y = _HEIGHT - _PAD - (v - lo) * (_HEIGHT - 2 * _PAD) / span_y
         return f"{x:.1f},{y:.1f}"
 
     coords = [coord(i, v) for i, v in points]
     last = coords[-1].split(",")
     label = " to ".join(f"{v:.6g}" for v in (ys[0], ys[-1]))
-    parts = [
-        f'<svg class="spark" width="{width}" height="{height}"'
-        f' viewBox="0 0 {width} {height}" role="img"'
-        f' aria-label="trend {html.escape(label)}">'
-    ]
+    parts = [f'{head} aria-label="trend {html.escape(label)}">']
     if len(coords) > 1:
         parts.append(
             f'<polyline points="{" ".join(coords)}" fill="none"'
@@ -154,7 +150,6 @@ def render_dashboard(
     *,
     stats: Optional[Mapping[str, Any]] = None,
     health: Optional[Mapping[str, Any]] = None,
-    title: str = "repro guarantee dashboard",
 ) -> str:
     """The full ``GET /dashboard`` page as one HTML string.
 
@@ -167,9 +162,9 @@ def render_dashboard(
     reports = list(reports)
     out: List[str] = [
         "<!DOCTYPE html><html lang=\"en\"><head><meta charset=\"utf-8\">",
-        f"<title>{html.escape(title)}</title>",
+        f"<title>{_TITLE}</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
+        f"<h1>{_TITLE}</h1>",
         '<p class="sub">Store-backed guarantee trends across code'
         " versions (salts); values re-banked by each version of the"
         " code, charted in insertion order.</p>",

@@ -144,10 +144,8 @@ class FaultInjector:
     plan:
         ``{point: Fault}`` — which points fault.  Points are matched
         by canonical identity (the same JSON canonicalization the
-        sweep runner deduplicates with), and the ``(index, point)``
-        tuples :func:`repro.engine.sweep_check` threads internally are
-        unwrapped automatically, so one plan drives both ``sweep`` and
-        ``sweep_check``.
+        sweep runner deduplicates with), so one plan drives both
+        ``sweep`` and ``sweep_check``.
     state_dir:
         Directory for the attempt scoreboard.  Every injection check
         claims the next ``<digest>.<n>`` file with ``O_CREAT|O_EXCL``,
@@ -198,15 +196,7 @@ class FaultInjector:
     def _match(self, point: Any) -> Optional[Tuple[str, Fault]]:
         key = _canonical(point)
         fault = self.plan.get(key)
-        if fault is not None:
-            return key, fault
-        # sweep_check wraps points as (grid index, point); match inner.
-        if isinstance(point, tuple) and len(point) == 2:
-            key = _canonical(point[1])
-            fault = self.plan.get(key)
-            if fault is not None:
-                return key, fault
-        return None
+        return None if fault is None else (key, fault)
 
     def _claim_attempt(self, key: str) -> int:
         """Atomically claim and return this point's next attempt number."""

@@ -168,7 +168,6 @@ def validate_guarantee(
     tolerance: float = RANGE_TOLERANCE,
     cross_check_chain: Any = None,
     cross_check_epsilon: float = 0.05,
-    cross_check_seed: int = 0,
 ) -> Tuple[ValidationWarning, ...]:
     """Validate one fabric-emitted value; returns warning records.
 
@@ -210,11 +209,7 @@ def validate_guarantee(
         and kind == "probability"
     ):
         cross = _cross_check(
-            number,
-            formula,
-            cross_check_chain,
-            cross_check_epsilon,
-            cross_check_seed,
+            number, formula, cross_check_chain, cross_check_epsilon
         )
         if cross is not None:
             warnings.append(cross)
@@ -226,14 +221,13 @@ def _cross_check(
     formula: str,
     chain: Any,
     epsilon: float,
-    seed: int,
 ) -> Optional[ValidationWarning]:
     """Cheap APMC plausibility probe of an exact probability."""
     try:  # deferred import; unsupported formulas simply skip the probe
         from ..smc import smc_estimate
 
         probe = smc_estimate(
-            chain, formula, epsilon=epsilon, delta=0.05, seed=seed
+            chain, formula, epsilon=epsilon, delta=0.05, seed=0
         )
     except Exception:
         return None

@@ -20,9 +20,10 @@ The distributed half of the guarantee pipeline, stdlib networking only
   a SIGKILLed coordinator replay its open jobs on restart.
 
 The merged output of a remote sweep is bit-identical to the serial
-path: per-point seed streams are spawned by grid index before
-anything ships, and results merge first-write-wins by that index —
-which is also what makes journal replay and lease re-runs idempotent.
+path: a point's value depends only on its store query (scenario key,
+formula, backend, config), never on its grid position or worker, and
+results merge first-write-wins by grid index — which is also what
+makes journal replay and lease re-runs idempotent.
 """
 
 from .client import (

@@ -8,8 +8,8 @@ until more points land) until every global index is accounted for — as a decod
 :class:`~repro.engine.SweepResult` streamed back by a worker, or as a
 quarantine record for a point that kept killing its workers.  The
 merge is by grid index, so the returned list is bit-identical to the
-serial path (per-point seed streams are already spawned by index; no
-part of a point's computation depends on where it ran).
+serial path (a point's value depends only on its store query — scenario
+key, formula, backend, config — never on its grid position or worker).
 
 Ctrl-C cancels the job on the coordinator (workers finish their
 current shard and go idle; nothing is orphaned) and raises
@@ -134,8 +134,6 @@ def remote_sweep(
     retry: Optional[RetryPolicy] = None,
     deadline: Optional[DeadlinePolicy] = None,
     timeout: Optional[float] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    connect_retry: "RetryPolicy | int | None" = DEFAULT_CLIENT_RETRY,
 ) -> List[SweepResult]:
     """Run one sweep on a worker fleet; blocks until merged.
 
@@ -147,10 +145,10 @@ def remote_sweep(
     ``timeout`` bounds the whole sweep — on expiry the job is cancelled
     and a ``TimeoutError`` raised.  A job that another client cancels
     returns at once: finished points keep their values and every other
-    point fails with a ``Cancelled:`` error.  ``connect_retry`` is the
-    *transport* budget for each coordinator round trip: collects ride
-    through a coordinator restart, and only an exhausted budget raises
-    :class:`ServiceUnavailable`.
+    point fails with a ``Cancelled:`` error.  Each coordinator round
+    trip has the transport budget :data:`DEFAULT_CLIENT_RETRY`: collects
+    ride through a coordinator restart, and only an exhausted budget
+    raises :class:`ServiceUnavailable`.
     """
     points = list(points)
     if not points:
@@ -167,9 +165,8 @@ def remote_sweep(
             "points": [encode(point) for point in points],
             "shard_size": shard_size,
             "point_budget": point_budget,
-            "meta": meta or {},
         },
-        retry=connect_retry,
+        retry=DEFAULT_CLIENT_RETRY,
     )
     job = submitted["job"]
     started = time.monotonic()
@@ -184,7 +181,7 @@ def remote_sweep(
             snapshot = call_with_retry(
                 connect,
                 {"type": "collect", "job": job, "wait": wait, "since": seen},
-                retry=connect_retry,
+                retry=DEFAULT_CLIENT_RETRY,
                 timeout=wait + 30.0,
             )
             if snapshot.get("done") or snapshot.get("status") == "cancelled":
@@ -193,7 +190,7 @@ def remote_sweep(
                 call_with_retry(
                     connect,
                     {"type": "cancel", "job": job},
-                    retry=connect_retry,
+                    retry=DEFAULT_CLIENT_RETRY,
                 )
                 raise TimeoutError(
                     f"remote sweep {job} incomplete after {timeout:.6g}s"

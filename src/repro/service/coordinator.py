@@ -52,8 +52,9 @@ Durability — the coordinator itself may die.  Given a
 merged result and quarantine record is persisted as it happens; a
 restarted coordinator *replays* the journal, re-queues only the
 missing grid ranges, and resumes merging — bit-identical to an
-uninterrupted run, because point values are deterministic in their
-grid index and both the in-memory merge and the journal are
+uninterrupted run, because a point's value depends only on its store
+query (scenario key, formula, backend, config), never on its grid
+position or worker, and both the in-memory merge and the journal are
 first-write-wins.  Each boot is stamped with a monotone **epoch**
 (journal-backed when available): workers carry their registration
 epoch on every message, and anything from a pre-restart epoch is
@@ -817,18 +818,13 @@ class CoordinatorServer:
         port: int = 0,
         *,
         coordinator: Optional[Coordinator] = None,
-        reap_interval: Optional[float] = None,
         **coordinator_kwargs: Any,
     ) -> None:
         self.coordinator = coordinator or Coordinator(**coordinator_kwargs)
         self._server = _TCPServer((host, port), _Handler)
         self._server.coordinator = self.coordinator  # type: ignore[attr-defined]
         self.host, self.port = self._server.server_address[:2]
-        self.reap_interval = (
-            reap_interval
-            if reap_interval is not None
-            else max(0.05, self.coordinator.heartbeat / 2.0)
-        )
+        self.reap_interval = max(0.05, self.coordinator.heartbeat / 2.0)
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
 

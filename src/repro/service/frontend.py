@@ -307,8 +307,8 @@ class Frontend:
             raise _BadRequest(str(exc)) from None
 
     def _enqueue_guarantee(self, plan: CheckPlan, body: Dict[str, Any]) -> str:
-        """Submit the plan's job on the ``(0, point)`` entry, as
-        ``zoo.sweep`` would run it; returns the job id.  The in-flight
+        """Submit the plan's job on its one point, as ``zoo.sweep``
+        would run it; returns the job id.  The in-flight
         table is keyed by the plan's store query.
 
         Degradation surface: a query already in flight shares its job
@@ -346,7 +346,7 @@ class Frontend:
             try:
                 job_id = self.coordinator.submit(
                     encode(plan.job),
-                    [encode((0, body["point"]))],
+                    [encode(body["point"])],
                     meta={
                         "kind": "guarantee",
                         "family": body["family"],

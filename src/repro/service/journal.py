@@ -17,10 +17,10 @@ only, WAL + upsert, the store's own concurrency discipline) recording
 
 On restart the coordinator calls :meth:`replay`: each open job comes
 back with its already-merged results, and the missing grid indices are
-re-queued as fresh shard leases.  Because every point's value is a
-deterministic function of its grid index (seed streams are spawned by
-index before anything ships), a recovered sweep merges bit-identical
-to an uninterrupted one.
+re-queued as fresh shard leases.  Because a point's value depends only
+on its store query (scenario key, formula, backend, config), never on
+its grid position or worker, a recovered sweep merges bit-identical to
+an uninterrupted one.
 
 The journal also owns the **boot epoch**: a monotone counter bumped by
 :meth:`bump_epoch` at every coordinator start and stamped into worker

@@ -21,9 +21,10 @@ Values that cross the wire use *the store's own codec*
 remote worker is byte-for-byte the payload a local sweep would bank in
 a :class:`~repro.store.ResultStore`, so remote results are
 cache-compatible with warm hits — same tagged-JSON encoding, same
-versioned salt in the handshake.  Objects the store codec refuses
-(sweep callables, ``(index, point)`` tuples, seed sequences) fall back
-to base64-pickle, which is fine inside a trusted worker fleet — the
+versioned salt in the handshake, and a sweep's parameter-dict points
+travel as the same tagged JSON.  Objects the store codec refuses
+(sweep callables, tuples, containers JSON would mangle) fall back to
+base64-pickle, which is fine inside a trusted worker fleet — the
 coordinator itself never unpickles anything, it only forwards blobs.
 
 The protocol is versioned (:data:`PROTOCOL_VERSION`) and the handshake
@@ -241,7 +242,7 @@ def encode(obj: Any) -> Dict[str, Any]:
 
     Store-codec first (tagged JSON, bit-exact floats, cache-compatible
     result dataclasses), base64-pickle for everything else — sweep
-    callables, ``(index, point)`` tuples, containers JSON would mangle.
+    callables, tuples, containers JSON would mangle.
     """
     if not isinstance(obj, (dict, list)) or _json_pure(obj):
         try:

@@ -15,10 +15,11 @@ heartbeats stop (the worker died) or a shipped
 :class:`~repro.resilience.DeadlinePolicy` budget blows (the worker
 hung).
 
-Determinism: a worker adds nothing to the computation — the sweep
-function already carries its per-point seed streams spawned by grid
-index — so the merged sweep is bit-identical to the serial path no
-matter which worker ran which lease, or how often leases moved.
+Determinism: a worker adds nothing to the computation — a point's
+value depends only on its store query (scenario key, formula, backend,
+config), never on its grid position or worker — so the merged sweep is
+bit-identical to the serial path no matter which worker ran which
+lease, or how often leases moved.
 
 The worker *outlives the coordinator*: a connection-refused poll, a
 coordinator restart, or a ``reregister`` directive (unknown worker id

@@ -36,6 +36,9 @@ __all__ = ["SprtResult", "sprt_decide"]
 _CHUNK_START = 64
 _CHUNK_MAX = 8192
 
+#: Paths drawn before a test that has not decided gives up.
+_MAX_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class SprtResult:
@@ -67,7 +70,6 @@ def sprt_decide(
     alpha: float = 0.01,
     beta: float = 0.01,
     seed: Optional[int] = 0,
-    max_samples: int = 10_000_000,
 ) -> SprtResult:
     """Run the SPRT for ``H0: p >= theta + half_width`` vs
     ``H1: p <= theta - half_width``.
@@ -98,8 +100,8 @@ def sprt_decide(
         llr = 0.0
         samples = 0
         chunk = _CHUNK_START
-        while samples < max_samples:
-            chunk = min(chunk, max_samples - samples)
+        while samples < _MAX_SAMPLES:
+            chunk = min(chunk, _MAX_SAMPLES - samples)
             outcomes = np.asarray(trial(rng, chunk), dtype=bool)
             increments = np.where(outcomes, inc_success, inc_failure)
             # Prepending the carried LLR reproduces the sequential
@@ -118,7 +120,7 @@ def sprt_decide(
     else:
         llr = 0.0
         samples = 0
-        while samples < max_samples:
+        while samples < _MAX_SAMPLES:
             samples += 1
             llr += inc_success if trial(rng) else inc_failure
             if llr >= log_a:
@@ -126,6 +128,6 @@ def sprt_decide(
             if llr <= log_b:
                 return result(True, samples)
     raise RuntimeError(
-        f"SPRT did not terminate within {max_samples} samples; p is likely"
+        f"SPRT did not terminate within {_MAX_SAMPLES} samples; p is likely"
         " inside the indifference region - widen it or use APMC"
     )

@@ -20,8 +20,9 @@ of re-solved.  :func:`plan_sweep` is the one place that key is made:
 either side is a warm hit for the other.  ``executor="process"``
 leases shards of the grid to forked workers and ``executor="remote"``
 to the worker fleet (see :func:`repro.engine.sweep`); the merged
-results are bit-identical to the serial path because per-point seed
-streams are spawned by grid index.
+results are bit-identical to the serial path because a point's value
+depends only on its store query (scenario key, formula, backend,
+config), never on its grid position or worker.
 
 :func:`survey` is the zoo-wide smoke sweep: every registered family at
 its defaults against its own default property — the "does the whole
@@ -252,8 +253,8 @@ def survey(
 
     One point per family, each against its own ``default_property``
     with the chosen backend: a one-point :func:`sweep` per family, so
-    every cell spawns its seed stream from ``smc.seed`` exactly as a
-    standalone sweep would, and only this process touches ``store``.
+    every cell gets the value a standalone sweep of that family gets,
+    and only this process touches ``store``.
     On ``executor="remote"`` each family is one fleet job; on the
     other executors a one-point sweep runs in-process.  Returns
     ``{family name: SweepResult}``; each result keeps its

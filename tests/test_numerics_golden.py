@@ -2,7 +2,8 @@
 
 For every zoo family at its defaults this pins the exact value (to a
 relative 1e-9) and the APMC estimate at seed 0, epsilon 0.05, delta
-0.1 (exactly), plus the infinite reward of the leak chain.  The store's
+0.1 (exactly, alone and behind two other grid points), plus the
+infinite reward of the leak chain.  The store's
 default salt carries ``repro.store.NUMERICS_REVISION``, so rows banked
 under older numerics stay history and are never served as hits, but
 only if the revision moves whenever these values do.  A failure here
@@ -19,15 +20,26 @@ from repro.pctl import check
 
 from helpers import leak_chain
 
-#: family -> (exact value, APMC estimate), pinned under revision 1.
+#: family -> (exact value, APMC estimate), pinned under revision 2.
 GOLDEN = {
-    "birth-death": (0.39744358652398754, 0.415),
-    "mimo-1xN": (0.006137802207794845, 0.0033333333333333335),
-    "mimo-NRx2": (0.9815257233157664, 0.98),
-    "random-sparse": (0.9593844333518722, 0.945),
-    "viterbi-convergence": (0.45753854793705406, 0.4533333333333333),
-    "viterbi-errcnt": (0.670089364287023, 0.65),
-    "viterbi-memory-m": (0.34446589855051196, 0.335),
+    "birth-death": (0.39744358652398754, 0.45),
+    "mimo-1xN": (0.006137802207794845, 0.013333333333333334),
+    "mimo-NRx2": (0.9815257233157664, 0.9933333333333333),
+    "random-sparse": (0.9593844333518722, 0.9633333333333334),
+    "viterbi-convergence": (0.45753854793705406, 0.44333333333333336),
+    "viterbi-errcnt": (0.670089364287023, 0.6666666666666666),
+    "viterbi-memory-m": (0.34446589855051196, 0.37333333333333335),
+}
+
+#: family -> two other points, swept ahead of the default point.
+AHEAD = {
+    "birth-death": [{"n": 8}, {"n": 12}],
+    "mimo-1xN": [{"snr_db": 4.0}, {"snr_db": 6.0}],
+    "mimo-NRx2": [{"snr_db": 4.0}, {"snr_db": 6.0}],
+    "random-sparse": [{"seed": 1}, {"seed": 2}],
+    "viterbi-convergence": [{"snr_db": 4.0}, {"snr_db": 6.0}],
+    "viterbi-errcnt": [{"snr_db": 3.0}, {"snr_db": 4.0}],
+    "viterbi-memory-m": [{"snr_db": 3.0}, {"snr_db": 4.0}],
 }
 
 SMC = SmcConfig(epsilon=0.05, delta=0.1, seed=0)
@@ -50,10 +62,13 @@ def test_exact_value(family):
 
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_apmc_estimate(family):
-    result = zoo.sweep(
-        family, points=[{}], backend="apmc", smc=SMC, executor="serial"
-    )[0]
-    assert result.value.estimate == GOLDEN[family][1], MOVED
+    # The default point alone and as the last point of a 3-point grid:
+    # an estimate depends on its store query, never on its grid position.
+    for points in ([{}], AHEAD[family] + [{}]):
+        result = zoo.sweep(
+            family, points=points, backend="apmc", smc=SMC, executor="serial"
+        )[-1]
+        assert result.value.estimate == GOLDEN[family][1], MOVED
 
 
 def test_leak_chain_reward_is_infinite():

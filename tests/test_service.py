@@ -29,6 +29,7 @@ modelled in-process to keep the suite fast.
 """
 
 import contextlib
+import importlib
 import json
 import os
 import socket
@@ -780,12 +781,9 @@ class _FlakyOnce:
 def _comparable_job(fn):
     """A sweep function's keywords in a form ``==`` can compare."""
     keywords = dict(fn.keywords)
-    build = keywords.pop("build")
-    keywords["build"] = (build.func, build.args, build.keywords)
-    keywords["seeds"] = [
-        None if seed is None else (seed.entropy, seed.spawn_key)
-        for seed in keywords["seeds"]
-    ]
+    for name in ("build", "key"):
+        part = keywords.pop(name)
+        keywords[name] = (part.func, part.args, part.keywords)
     return fn.func, keywords
 
 
@@ -794,13 +792,14 @@ class TestPointJob:
 
     @staticmethod
     def _sweep_job(monkeypatch, points, **kwargs):
-        """The decoded job an ``executor="remote"`` zoo sweep submits."""
+        """The decoded job an ``executor="remote"`` zoo sweep submits,
+        and its point envelopes."""
         import repro.service.client as client
 
         submitted = []
 
         def fake_remote_sweep(fn, points, **_ignored):
-            submitted.append(wire.encode(fn))
+            submitted.append((wire.encode(fn), [wire.encode(p) for p in points]))
             return [SweepResult(point=p, value=0.5, seconds=0.0) for p in points]
 
         monkeypatch.setattr(client, "remote_sweep", fake_remote_sweep)
@@ -808,26 +807,33 @@ class TestPointJob:
             "birth-death", points=points, executor="remote",
             remote="127.0.0.1:9", **kwargs,
         )
-        (envelope,) = submitted
-        return wire.decode(envelope)
+        ((envelope, encoded),) = submitted
+        return wire.decode(envelope), encoded
 
     def test_exact_sweep_ships_no_seed_streams(self, monkeypatch):
-        job = self._sweep_job(monkeypatch, [{"n": n} for n in (4, 6, 8)])
-        assert job.keywords["seeds"] == [None, None, None]
+        job, encoded = self._sweep_job(monkeypatch, [{"n": n} for n in (4, 6, 8)])
+        assert "seeds" not in job.keywords
         # The parsed tree travels with the job: no point re-parses it.
         assert str(job.keywords["formula"]) == "P=? [ F<=100 goal ]"
         assert not isinstance(job.keywords["formula"], str)
+        # Bare parameter dicts cross the wire as the store's JSON.
+        assert [envelope["enc"] for envelope in encoded] == ["store"] * 3
 
-    def test_statistical_sweep_ships_one_stream_per_point(self, monkeypatch):
-        import numpy as np
-
-        job = self._sweep_job(
-            monkeypatch, [{"n": n} for n in (4, 6)], backend="apmc",
-            smc=SmcConfig(epsilon=0.1, delta=0.1, seed=3),
+    def test_statistical_sweep_ships_its_store_key(self, monkeypatch):
+        points = [{"n": n} for n in (4, 6)]
+        smc = SmcConfig(epsilon=0.1, delta=0.1, seed=3)
+        job, encoded = self._sweep_job(
+            monkeypatch, points, backend="apmc", smc=smc
         )
-        seeds = job.keywords["seeds"]
-        assert all(isinstance(seed, np.random.SeedSequence) for seed in seeds)
-        assert [seed.spawn_key for seed in seeds] == [(0,), (1,)]
+        # No per-point seed list: each point draws from its store key.
+        assert "seeds" not in job.keywords
+        # The package's `sweep` function shadows the submodule.
+        zoo_sweep = importlib.import_module("repro.zoo.sweep")
+        plan = zoo_sweep.plan_sweep("birth-death", points, backend="apmc", smc=smc)
+        assert [job.keywords["key"](point) for point in points] == [
+            query[0] for query in plan.queries.values()
+        ]
+        assert [envelope["enc"] for envelope in encoded] == ["store"] * 2
 
     @pytest.mark.parametrize(
         "query, kwargs",
@@ -845,9 +851,10 @@ class TestPointJob:
             "GET", f"/guarantee?family=birth-death&n=8{query}"
         )
         assert status == 202
-        miss = wire.decode(coord.jobs[body["job"]].fn)
-        swept = self._sweep_job(monkeypatch, [{"n": 8}], **kwargs)
-        assert _comparable_job(miss) == _comparable_job(swept)
+        job = coord.jobs[body["job"]]
+        swept, encoded = self._sweep_job(monkeypatch, [{"n": 8}], **kwargs)
+        assert _comparable_job(wire.decode(job.fn)) == _comparable_job(swept)
+        assert job.points == encoded
 
 
 #: One guarantee per backend: its /guarantee query and zoo.sweep kwargs.
@@ -902,6 +909,20 @@ class TestSharedRows:
             assert served.cached and served.value == swept.value
             (served_row,) = store.query()
         assert self._identity(served_row) == self._identity(swept_row)
+        # A row another grid banked at index 2 serves what a cold
+        # one-point sweep of the same query computes.
+        with ResultStore(tmp_path / "grid.sqlite") as store:
+            zoo.sweep(
+                "mimo-1xN", axes={"snr_db": [4.0, 5.0, 6.0]},
+                store=store, **kwargs,
+            )
+            front = Frontend(Coordinator(salt="s"), store=store)
+            status, hit = front.route(
+                "GET", f"/guarantee?family=mimo-1xN&snr_db=6.0{query}"
+            )
+        (cold,) = zoo.sweep("mimo-1xN", points=[{"snr_db": 6.0}], **kwargs)
+        assert status == 200 and hit["cached"]
+        assert hit["value"] == _public_value(cold.value)
 
 
 class TestFrontend:
@@ -1206,8 +1227,6 @@ class TestInterrupts:
         assert isinstance(exc.value, KeyboardInterrupt)  # still a ^C
 
     def test_sweep_check_banks_partials_on_interrupt(self, tmp_path, monkeypatch):
-        import importlib
-
         # The package re-exports a `sweep` *function*, which shadows
         # the submodule as an attribute — resolve the module directly.
         engine_sweep_module = importlib.import_module("repro.engine.sweep")
@@ -1239,6 +1258,37 @@ class TestInterrupts:
             )
             assert all(r.ok for r in resumed)
             assert sum(r.cached for r in resumed) == 2
+            assert len(store) == 4
+
+    def test_process_sweep_banks_the_points_that_finished(
+        self, tmp_path, monkeypatch
+    ):
+        engine_sweep_module = importlib.import_module("repro.engine.sweep")
+        original = engine_sweep_module._wait_ready
+        calls = {"n": 0}
+
+        def interrupting(objects, timeout=None):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise KeyboardInterrupt
+            # The first wait hears only from the worker holding grid
+            # index 1, so index 1 finishes and index 0 does not.
+            return original(objects[1:2], 60.0)
+
+        kwargs = dict(
+            axes={"n": [6, 8, 10, 12]}, executor="process",
+            max_workers=2, shard_size=1,
+        )
+        with ResultStore(tmp_path / "ckpt.sqlite") as store:
+            monkeypatch.setattr(engine_sweep_module, "_wait_ready", interrupting)
+            with pytest.raises(SweepInterrupted) as exc:
+                zoo.sweep("birth-death", store=store, **kwargs)
+            assert [r.point for r in exc.value.partial] == [{"n": 8}]
+            assert len(store) == 1
+            monkeypatch.setattr(engine_sweep_module, "_wait_ready", original)
+            resumed = zoo.sweep("birth-death", store=store, **kwargs)
+            assert all(r.ok for r in resumed)
+            assert [r.cached for r in resumed] == [False, True, False, False]
             assert len(store) == 4
 
     def test_cli_reports_interrupt_and_exits_130(self, monkeypatch, capsys):

@@ -750,15 +750,25 @@ class TestSweepCheckStore:
 
     def test_duplicate_points_share_first_seed_stream(self):
         smc = SmcConfig(epsilon=0.1, delta=0.2, seed=5)
+        # Two steps, so P = 0.51 at p=0.3 and the estimate depends on the
+        # stream (at F<=50 every path reaches goal, whatever the seed).
+        formula = "P=? [ F<=2 goal ]"
         dup = sweep_check(
-            _tiny_chain, [{"p": 0.3}, {"p": 0.3}], FORMULA,
+            _tiny_chain, [{"p": 0.3}, {"p": 0.3}], formula,
             backend="apmc", smc=smc, executor="serial",
         )
         solo = sweep_check(
-            _tiny_chain, [{"p": 0.3}], FORMULA,
+            _tiny_chain, [{"p": 0.3}], formula,
+            backend="apmc", smc=smc, executor="serial",
+        )
+        # Grid position is not part of a point's seed: behind another
+        # point, p=0.3 draws the same stream as alone.
+        reversed_grid = sweep_check(
+            _tiny_chain, [{"p": 0.6}, {"p": 0.3}], formula,
             backend="apmc", smc=smc, executor="serial",
         )
         assert dup[0].value == dup[1].value == solo[0].value
+        assert reversed_grid[1].value == solo[0].value
 
     def test_on_error_raise_still_raises(self, tmp_path):
         store = ResultStore(tmp_path / "s.sqlite")
@@ -826,6 +836,19 @@ class TestZooSweepStore:
         )
         assert explicit[0].cached is True
         assert len(store) == 1
+
+    def test_defaults_and_explicit_params_share_a_seed(self):
+        """points=[{}] and the spelled-out defaults draw one stream."""
+        fam = zoo.get_model("birth-death")
+        kwargs = dict(
+            formula=FORMULA, backend="apmc", executor="serial",
+            smc=SmcConfig(epsilon=0.1, delta=0.1, seed=3),
+        )
+        (bare,) = zoo.sweep("birth-death", points=[{}], **kwargs)
+        (explicit,) = zoo.sweep(
+            "birth-death", points=[dict(fam.defaults)], **kwargs
+        )
+        assert asdict(bare.value) == asdict(explicit.value)
 
     def test_base_params_are_part_of_the_key(self, tmp_path):
         store = ResultStore(tmp_path / "z.sqlite")

@@ -512,8 +512,8 @@ class TestRequestsFailBeforeWork:
             cold = zoo.sweep("birth-death", store=store, **kwargs)
             jobs = []
             monkeypatch.setattr(
-                engine_sweep, "check_job",
-                _counting(jobs, "check_job", engine_sweep.check_job),
+                engine_sweep.CheckPlan, "job",
+                property(_counting(jobs, "job", engine_sweep.CheckPlan.job.func)),
             )
             warm = zoo.sweep("birth-death", store=store, **kwargs)
         assert all(r.cached for r in warm)
